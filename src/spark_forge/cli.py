@@ -50,6 +50,7 @@ from .report import CheckReport
 
 DICT_MAGIC = "# spark-forge dictionary v1"
 VECTOR_MAGIC = "# spark-forge vector v1"
+MATRIX_ENTRIES = frozenset((-1, 0, 1))
 
 CELL = 12
 CELL_COLORS = {1: "#d62728", -1: "#1f77b4", 0: "#bbbbbb"}
@@ -100,11 +101,18 @@ def _parse_header(line: str, magic: str, fields: tuple[str, ...]) -> dict:
     return meta
 
 
-def read_dictionary(path: str | Path) -> dct.ScaledDictionary:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def read_dictionary(path: str | Path, text: str | None = None) -> dct.ScaledDictionary:
+    """Parse a dictionary CSV; `text` is the file's contents if the caller
+    has already read them."""
+    if text is None:
+        text = _read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError(f"{path}: empty dictionary file")
@@ -114,13 +122,17 @@ def read_dictionary(path: str | Path) -> dct.ScaledDictionary:
         raise InputError(f"{path}: unsupported layout {meta['layout']!r}")
     try:
         rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed matrix row: {exc}") from exc
+    # checked on the parsed integers: narrowing to int8 first would overflow
+    if not all(MATRIX_ENTRIES.issuperset(row) for row in rows):
+        raise InputError(f"{path}: entries outside {{-1, 0, 1}}")
+    try:
         matrix = np.array(rows, dtype=np.int8)
     except ValueError as exc:
         raise InputError(f"{path}: malformed matrix row: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise InputError(f"{path}: no matrix rows")
-    if not np.isin(matrix, (-1, 0, 1)).all():
-        raise InputError(f"{path}: entries outside {{-1, 0, 1}}")
     d = matrix.shape[0]
     if matrix.shape[1] % d:
         raise InputError(f"{path}: column count is not a multiple of the dimension")
@@ -129,11 +141,12 @@ def read_dictionary(path: str | Path) -> dct.ScaledDictionary:
     return dct.ScaledDictionary(family, q, d, scale_sq, matrix, labels)
 
 
-def read_vector(path: str | Path) -> tuple[dct.SparseVector, int]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+def read_vector(
+    path: str | Path, text: str | None = None
+) -> tuple[dct.SparseVector, int]:
+    """Parse a sparse-vector CSV; `text` as in `read_dictionary`."""
+    if text is None:
+        text = _read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError(f"{path}: empty vector file")
@@ -368,15 +381,12 @@ def _load_inputs(args) -> tuple[dct.ScaledDictionary, dct.SparseVector | None]:
     dictionary = None
     vector = None
     for p in paths:
-        try:
-            head = p.read_text().lstrip().splitlines()
-        except OSError as exc:
-            raise InputError(f"cannot read {p}: {exc}") from exc
-        first = head[0] if head else ""
-        if first.startswith(DICT_MAGIC):
-            dictionary = read_dictionary(p)
-        elif first.startswith(VECTOR_MAGIC):
-            vector, _ = read_vector(p)
+        text = _read_text(p)
+        head = text.lstrip()
+        if head.startswith(DICT_MAGIC):
+            dictionary = read_dictionary(p, text)
+        elif head.startswith(VECTOR_MAGIC):
+            vector, _ = read_vector(p, text)
         else:
             raise InputError(f"{p}: not a spark-forge dictionary or vector file")
     if dictionary is None:
@@ -453,6 +463,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spark(args) -> int:
     started = time.perf_counter()
+    if args.k_max < 1:
+        raise InputError(f"--k-max must be at least 1, got {args.k_max}")
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1, got {args.workers}")
     dictionary, vector = _load_inputs(args)
     if vector is None:
         raise InputError("spark certification needs the kernel vector")

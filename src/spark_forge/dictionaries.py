@@ -10,9 +10,12 @@ command line:
   GF(q^2), scaled entries over sqrt(q^2); mutual coherence exactly 1/q^2
   and a (q^2+q)-sparse kernel vector.
 
-Everything is integer arithmetic: the matrix M with entries in {-1, 0, +1}
-stands for D = M / sqrt(scale_sq), spark search uses fraction-free
-(division-exact) Gaussian elimination, and coherence is a Fraction.
+Everything is exact: the matrix M with entries in {-1, 0, +1} stands for
+D = M / sqrt(scale_sq), spark search uses fraction-free (division-exact)
+Gaussian elimination in integers, and coherence is a Fraction.  Coherence
+reads the block Gram strips of `mub.gram_strips`, float32 BLAS products that
+are exact because every entry and partial sum is an integer below 2^24 in
+magnitude (checked at run time, with an int64 fallback).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .designs import INFINITY, Label, build_net
 from .gf import FieldContext
 from .hadamard import permuted_hadamard
-from .mub import ScaledBasis, build_basis, build_basis_family
+from .mub import ScaledBasis, build_basis, build_basis_family, gram_strips
 
 DEFAULT_SUBSET_BUDGET = 10**8
 BUDGET_ENV_VAR = "SPARK_FORGE_BUDGET"
@@ -184,16 +187,12 @@ def apply(dictionary: ScaledDictionary, x: SparseVector | np.ndarray) -> np.ndar
 
 def coherence(dictionary: ScaledDictionary) -> Fraction:
     """Largest |<column_i, column_j>| / scale_sq over distinct columns,
-    computed blockwise with exact integer products."""
+    from the exact block Gram strips of the scaled matrix."""
     d = dictionary.dimension
-    blocks = [dictionary.block(i).astype(np.int64) for i in range(dictionary.n_blocks)]
     largest = 0
-    for i, bi in enumerate(blocks):
-        g = bi.T @ bi
-        np.fill_diagonal(g, 0)
-        largest = max(largest, int(np.abs(g).max()))
-        for bj in blocks[i + 1 :]:
-            largest = max(largest, int(np.abs(bi.T @ bj).max()))
+    for strip in gram_strips(dictionary.matrix, d):
+        np.fill_diagonal(strip[:, :d], 0)
+        largest = max(largest, int(np.abs(strip).max()))
     return Fraction(largest, dictionary.scale_sq)
 
 

@@ -6,12 +6,18 @@ the v-th column of the permuted Hadamard matrix into the support of net
 vector (b, u), so every column has exactly q nonzero entries and all
 verification reduces to integer inner products: q * identity inside one
 basis, plus or minus 1 across two bases.
+
+Those inner products come from `gram_strips`, the one block-Gram routine
+shared with the coherence computation.  It multiplies in float32 BLAS, which
+is exact while every Gram entry and partial sum stays below 2^24 in
+magnitude; the bound rows * max|entry|^2 is checked on the actual matrix
+before each pass, and int64 arithmetic is used when it fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,9 +67,31 @@ def build_basis_family(net: IncidenceNet, hs: SignMatrix) -> list[ScaledBasis]:
     return [build_basis(net, hs, b) for b in net.labels]
 
 
-def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer Gram matrix a^T b (entries bounded by the dimension)."""
-    return a.astype(np.int64).T @ b.astype(np.int64)
+# float32 represents every integer of magnitude up to 2^24 exactly.
+FLOAT32_EXACT_LIMIT = 2**24
+
+
+def gram_strips(matrix: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Exact Gram matrix of the column blocks of `matrix`, one block row at a
+    time.
+
+    Block i is columns i*width .. (i+1)*width - 1.  The strip yielded for it
+    is block_i^T @ [block_i, ..., block_last], of shape width x (n_cols -
+    i*width); the full n_cols x n_cols Gram matrix is never formed.
+
+    Every product and partial sum is an integer of magnitude at most rows *
+    max|entry|^2.  When that bound is below 2^24 the strips are float32 BLAS
+    products, which are then exact; otherwise they are int64 products.
+    """
+    rows, cols = matrix.shape
+    if width < 1 or cols % width:
+        raise ValueError(f"{cols} columns do not split into blocks of {width}")
+    # max(-min, max) and not abs().max(): abs(-128) wraps around in int8
+    peak = max(-int(matrix.min()), int(matrix.max())) if matrix.size else 0
+    exact = np.float32 if rows * peak * peak < FLOAT32_EXACT_LIMIT else np.int64
+    m = matrix.astype(exact)
+    for start in range(0, cols, width):
+        yield m[:, start : start + width].T @ m[:, start:]
 
 
 def verify_mub(bases: Sequence[ScaledBasis]) -> CheckReport:
@@ -76,23 +104,27 @@ def verify_mub(bases: Sequence[ScaledBasis]) -> CheckReport:
     for basis in bases:
         if basis.dimension != d or basis.scale_sq != s:
             raise ValueError("bases have mismatched dimension or scale")
-    for i, bi in enumerate(bases):
-        g = gram(bi.matrix, bi.matrix)
-        ok = bool((g == s * np.eye(d, dtype=np.int64)).all())
-        if not ok:
-            r, c = np.argwhere(g != s * np.eye(d, dtype=np.int64))[0]
+    matrix = np.hstack([basis.matrix for basis in bases])
+    want_self = s * np.eye(d, dtype=np.int64)
+    for i, strip in enumerate(gram_strips(matrix, d)):
+        bi = bases[i]
+        bad = strip[:, :d] != want_self
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
             rep.fail(
-                f"basis {bi.label}: columns ({r}, {c}) have product {int(g[r, c])}"
+                f"basis {bi.label}: columns ({r}, {c}) have product "
+                f"{int(strip[r, c])}"
             )
         rep.count(d * d)
-        for bj in bases[i + 1 :]:
-            g = gram(bi.matrix, bj.matrix)
-            ok = bool((np.abs(g) == 1).all())
-            if not ok:
-                r, c = np.argwhere(np.abs(g) != 1)[0]
-                rep.fail(
-                    f"bases ({bi.label}, {bj.label}): columns ({r}, {c}) have "
-                    f"product {int(g[r, c])}, want +-1"
-                )
-            rep.count(d * d)
+        # cross[:, t] is the product of basis i with basis i + 1 + t
+        later = len(bases) - i - 1
+        cross = strip[:, d:].reshape(d, later, d)
+        bad = np.abs(cross) != 1
+        for t in np.flatnonzero(bad.any(axis=(0, 2))):
+            r, c = np.argwhere(bad[:, t])[0]
+            rep.fail(
+                f"bases ({bi.label}, {bases[i + 1 + t].label}): columns ({r}, {c}) "
+                f"have product {int(cross[r, t, c])}, want +-1"
+            )
+        rep.count(d * d * later)
     return rep

@@ -2,11 +2,12 @@
 trips, fault injection, rendering, and determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spark_forge.cli import main, read_dictionary, read_vector
+from spark_forge.cli import InputError, main, read_dictionary, read_vector
 
 GOLDEN_Q2_CSV = """\
 # spark-forge dictionary v1, family=thm1, q=2, scale_sq=2, layout=block-major
@@ -225,3 +226,42 @@ def test_spark_determinism_across_workers(capsys):
                      "--k-max", "3", "--workers", workers]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_reader_rejects_entries_outside_int8(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "# spark-forge dictionary v1, family=thm1, q=2, scale_sq=2, "
+        "layout=block-major\n1,300\n0,1\n"
+    )
+    with pytest.raises(InputError, match="entries outside"):
+        read_dictionary(bad)
+    assert main(["verify", str(bad)]) == 2
+    assert "entries outside" in capsys.readouterr().err
+
+
+def test_verify_reads_each_input_file_once(tmp_path, monkeypatch):
+    main(["construct", "--family", "thm1", "--q", "2", "--out-dir", str(tmp_path)])
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    assert main(["verify", str(tmp_path / "dictionary_thm1_q2.csv"),
+                 str(tmp_path / "vector_thm1_q2.csv")]) == 0
+    assert sorted(reads) == ["dictionary_thm1_q2.csv", "vector_thm1_q2.csv"]
+
+
+def test_spark_rejects_k_max_below_one(capsys):
+    assert main(["spark", "--family", "thm1", "--q", "2", "--brute-force",
+                 "--k-max", "-1", "--workers", "1"]) == 2
+    assert "--k-max must be at least 1" in capsys.readouterr().err
+
+
+def test_spark_rejects_workers_below_one(capsys):
+    assert main(["spark", "--family", "thm1", "--q", "2", "--brute-force",
+                 "--k-max", "3", "--workers", "0"]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err

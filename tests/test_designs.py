@@ -133,3 +133,46 @@ def test_verify_net_reports_a_flipped_bit(gf2):
     rep = verify_net(net)
     assert not rep.passed
     assert rep.failures
+
+
+def test_verify_net_exact_report_on_a_tampered_vector(gf4):
+    net = build_net(gf4)
+    net.vectors[1, 2] = 0
+    net.vectors[1, 2, 0] = 1
+    rep = verify_net(net)
+    assert rep.checks == 1 + 20 * 19 // 2
+    assert rep.failures == [
+        "vector 6 has 1 ones, want 4",
+        "<m[0,1], m[1,2]> = 0, want 1",
+        "<m[0,2], m[1,2]> = 0, want 1",
+        "<m[0,3], m[1,2]> = 0, want 1",
+        "<m[1,0], m[1,2]> = 1, want 0",
+        "<m[1,2], m[2,1]> = 0, want 1",
+        "<m[1,2], m[2,2]> = 0, want 1",
+        "<m[1,2], m[2,3]> = 0, want 1",
+        "<m[1,2], m[3,1]> = 0, want 1",
+        "<m[1,2], m[3,2]> = 0, want 1",
+        "<m[1,2], m[3,3]> = 0, want 1",
+        "<m[1,2], m[inf,1]> = 0, want 1",
+        "<m[1,2], m[inf,2]> = 0, want 1",
+        "<m[1,2], m[inf,3]> = 0, want 1",
+    ]
+
+
+def test_verify_net_keeps_pair_order_past_the_failure_cap(gf8):
+    net = build_net(gf8)
+    net.vectors[2, 5] = 0
+    net.vectors[2, 5, 0] = 1
+    rep = verify_net(net)
+    assert rep.checks == 1 + 72 * 71 // 2
+    assert rep.summary() == (
+        "FAIL net-incidence: vector 21 has 1 ones, want 8 (+38 more)"
+    )
+    assert rep.failures[14:] == [
+        "<m[1,7], m[2,5]> = 0, want 1",
+        "<m[2,0], m[2,5]> = 1, want 0",
+        "<m[2,5], m[3,1]> = 0, want 1",
+        "<m[2,5], m[3,2]> = 0, want 1",
+        "<m[2,5], m[3,3]> = 0, want 1",
+        "<m[2,5], m[3,4]> = 0, want 1",
+    ]

@@ -1,6 +1,8 @@
 """Scaled bases: embeddings, the published order-4 family, and exact
 unbiasedness checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,17 @@ from spark_forge import (
     FieldContext,
     INFINITY,
     ScaledBasis,
+    ScaledDictionary,
     build_basis,
     build_basis_family,
+    build_dictionary,
     build_net,
+    coherence,
     embed,
     permuted_hadamard,
     verify_mub,
 )
+from spark_forge.mub import gram_strips
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +121,86 @@ def test_verify_mub_dimension_guard(gf2):
 def test_build_basis_order_guard(gf2, gf4):
     with pytest.raises(ValueError):
         build_basis(build_net(gf2), permuted_hadamard(2), 0)
+
+
+# Exact outputs of the two block-Gram consumers on tampered thm1 q=4
+# dictionaries: one failure message per block pair, reporting the first
+# offending (row, column) of that pair's product in row-major order.
+
+
+def _tampered_q4(entries):
+    d = build_dictionary("thm1", 4)
+    m = d.matrix.copy()
+    for (r, c), value in entries.items():
+        m[r, c] = value
+    return ScaledDictionary(d.family, d.q, d.dimension, d.scale_sq, m, d.block_labels)
+
+
+def test_verify_mub_and_coherence_on_one_flipped_sign():
+    d = _tampered_q4({(0, 0): -1})
+    rep = verify_mub(d.blocks_as_bases())
+    assert rep.checks == 3840
+    assert rep.failures == ["basis 0: columns (0, 1) have product -2"]
+    assert coherence(d) == Fraction(1, 2)
+
+
+def test_verify_mub_and_coherence_on_six_tampered_entries():
+    # a 1 added to column 0, a -1 added to column 5 of every block
+    d = _tampered_q4(
+        {(1, 0): 1, (15, 5): -1, (15, 21): -1, (15, 37): -1, (14, 53): -1, (15, 69): -1}
+    )
+    rep = verify_mub(d.blocks_as_bases())
+    assert rep.checks == 3840
+    assert rep.failures == [
+        "basis 0: columns (0, 0) have product 5",
+        "bases (0, 1): columns (0, 4) have product 2, want +-1",
+        "bases (0, 2): columns (0, 4) have product 2, want +-1",
+        "bases (0, 3): columns (0, 4) have product 2, want +-1",
+        "bases (0, inf): columns (0, 0) have product 2, want +-1",
+        "basis 1: columns (0, 5) have product -1",
+        "bases (1, 2): columns (0, 5) have product 0, want +-1",
+        "bases (1, 3): columns (4, 5) have product 0, want +-1",
+        "bases (1, inf): columns (0, 5) have product -2, want +-1",
+        "basis 2: columns (5, 5) have product 5",
+        "bases (2, 3): columns (5, 4) have product 0, want +-1",
+        "bases (2, inf): columns (5, 5) have product 2, want +-1",
+        "basis 3: columns (0, 5) have product -1",
+        "bases (3, inf): columns (4, 5) have product 0, want +-1",
+        "basis inf: columns (5, 5) have product 5",
+    ]
+    assert coherence(d) == Fraction(3, 4)
+
+
+def _int64_strips(matrix, width):
+    m = matrix.astype(np.int64)
+    return [m[:, i : i + width].T @ m[:, i:] for i in range(0, m.shape[1], width)]
+
+
+def test_gram_strips_float32_path_at_the_exactness_bound():
+    # 1024 * 127^2 = 16516096 < 2^24: every entry of the Gram matrix reaches
+    # the bound and float32 must still be exact
+    matrix = np.full((1024, 6), 127, dtype=np.int8)
+    strips = list(gram_strips(matrix, 2))
+    assert all(s.dtype == np.float32 for s in strips)
+    for got, want in zip(strips, _int64_strips(matrix, 2), strict=True):
+        assert np.array_equal(got, want)
+    assert strips[0][0, 0] == 1024 * 127**2
+
+
+def test_gram_strips_int64_fallback_past_the_bound():
+    # 2000 * 3000^2 >= 2^24, so float32 would round; the int64 path is exact
+    rng = np.random.default_rng(7)
+    matrix = (3000 * rng.choice([-1, 1], size=(2000, 12))).astype(np.int16)
+    strips = list(gram_strips(matrix, 4))
+    assert all(s.dtype == np.int64 for s in strips)
+    for got, want in zip(strips, _int64_strips(matrix, 4), strict=True):
+        assert np.array_equal(got, want)
+    # a single -128 entry: the bound must not wrap around in int8
+    wide = np.full((1100, 2), 1, dtype=np.int8)
+    wide[0, 0] = -128
+    assert next(gram_strips(wide, 1)).dtype == np.int64
+
+
+def test_gram_strips_block_guard():
+    with pytest.raises(ValueError):
+        next(gram_strips(np.zeros((4, 6), dtype=np.int8), 4))
