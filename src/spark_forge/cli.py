@@ -133,12 +133,21 @@ def read_dictionary(path: str | Path, text: str | None = None) -> dct.ScaledDict
         raise InputError(f"{path}: malformed matrix row: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise InputError(f"{path}: no matrix rows")
-    d = matrix.shape[0]
-    if matrix.shape[1] % d:
-        raise InputError(f"{path}: column count is not a multiple of the dimension")
-    n_blocks = matrix.shape[1] // d
-    labels = tuple(range(n_blocks - 1)) + (INFINITY,)
-    return dct.ScaledDictionary(family, q, d, scale_sq, matrix, labels)
+    try:
+        dct._require_family_q(family, q)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    # thm1 scales by q, thm2 by q^2; either way the dimension is scale^2
+    scale = q if family == "thm1" else q * q
+    shape = (scale * scale, (q + 1) * scale * scale)
+    if scale_sq != scale or matrix.shape != shape:
+        raise InputError(
+            f"{path}: header family={family}, q={q}, scale_sq={scale_sq} does "
+            f"not fit a {matrix.shape[0]}x{matrix.shape[1]} matrix; expected "
+            f"scale_sq={scale} and {shape[0]}x{shape[1]}"
+        )
+    labels = tuple(range(q)) + (INFINITY,)
+    return dct.ScaledDictionary(family, q, shape[0], scale_sq, matrix, labels)
 
 
 def read_vector(
@@ -163,6 +172,10 @@ def read_vector(
             raise InputError(f"{path}: bad support entry {ln!r}")
         support.append((idx, val))
     support.sort()
+    # a repeated index would make the support size wrong, or hide a zero
+    # vector behind entries that cancel
+    if len({idx for idx, _ in support}) != len(support):
+        raise InputError(f"{path}: repeated support index")
     return dct.SparseVector(length, tuple(support), meta["family"]), int(meta["q"])
 
 
@@ -230,11 +243,12 @@ def collect_reports(
 
     if vector is not None:
         kernel_rep = CheckReport("kernel-vector")
-        residual = dct.apply(dictionary, vector)
+        bad_rows = np.flatnonzero(dct.apply(dictionary, vector))
         kernel_rep.require(
-            not residual.any(),
-            f"matrix @ vector has nonzero entry at row "
-            f"{int(np.flatnonzero(residual)[0]) if residual.any() else -1}",
+            bool(vector.support) and not bad_rows.size,
+            f"matrix @ vector has nonzero entry at row {int(bad_rows[0])}"
+            if bad_rows.size
+            else "vector is zero",
         )
         reports.append(kernel_rep)
 
@@ -439,11 +453,9 @@ def _cmd_verify(args) -> int:
         dictionary.family, dictionary.q, dictionary, vector, reference
     )
     certificate = None
-    if vector is not None:
-        try:
-            certificate = dct.spark_certify(dictionary, vector)
-        except ValueError:
-            pass  # kernel failure is already reported by the kernel check
+    kernel = next((rep for rep in checks if rep.name == "kernel-vector"), None)
+    if kernel is not None and kernel.passed:
+        certificate = dct.spark_certify(dictionary, vector)
     for rep in checks:
         print(rep.summary())
     if certificate is not None:

@@ -12,15 +12,18 @@ command line:
 
 Everything is exact: the matrix M with entries in {-1, 0, +1} stands for
 D = M / sqrt(scale_sq), spark search uses fraction-free (division-exact)
-Gaussian elimination in integers, and coherence is a Fraction.  Coherence
-reads the block Gram strips of `mub.gram_strips`, float32 BLAS products that
-are exact because every entry and partial sum is an integer below 2^24 in
-magnitude (checked at run time, with an int64 fallback).
+Gaussian elimination in integers and settles the last two columns of each
+subset by comparing gcd-normalised integer columns, and coherence is a
+Fraction.  Coherence reads the block Gram strips of `mub.gram_strips`,
+float32 BLAS products that are exact because every entry and partial sum is
+an integer below 2^24 in magnitude (checked at run time, with an int64
+fallback).
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -200,11 +203,24 @@ def coherence(dictionary: ScaledDictionary) -> Fraction:
 # Brute-force spark search
 # ---------------------------------------------------------------------------
 #
-# Levels run in increasing subset size; at level k the search walks
-# independent subsets in lexicographic order, keeping candidate columns
-# reduced by fraction-free elimination, so a dependent extension shows up as
-# an exactly-zero reduced column.  The first hit at the smallest level is the
-# (size-major, lexicographically least) witness, independent of worker count.
+# Levels run in increasing subset size k, so at level k every smaller subset
+# is known to be independent.  The search walks prefixes in lexicographic
+# order, keeping the candidate columns reduced by fraction-free elimination of
+# the prefix; every reduced entry is an exact integer minor of the matrix.
+# The last two columns are settled at once: at depth k-2, columns t < u
+# complete a dependent k-set exactly when reduced columns t and u are nonzero
+# and parallel.  Each reduced column is divided by the gcd of its entries and
+# signed so its first nonzero entry is positive; one stable lexsort then
+# groups equal columns, and the lex-least pair is the smallest t with an
+# equal later column, paired with the next one.  The first hit at the
+# smallest level is the (size-major, lexicographically least) witness.
+#
+# With worker processes a level is split into chunks of first columns, read
+# back in ascending order.  A chunk that finds a hit lowers a shared bound to
+# the hit's first column, and every chunk stops once its first column passes
+# the bound: the lex-least witness has the smallest first column of any hit,
+# so no chunk that could hold it is cut short, and the witness does not
+# depend on the worker count.
 
 
 @dataclass(frozen=True)
@@ -217,70 +233,96 @@ class BruteForceResult:
     budget: int
 
 
-def _descend(reduced, ids, prev_piv, prefix, k):
-    depth = len(prefix)
-    if depth == k - 1:
-        zero = np.flatnonzero(~reduced.any(axis=0))
-        if zero.size:
-            return prefix + (int(ids[zero[0]]),)
+def _parallel_pair(reduced, t_stop):
+    """Lex-least (t, u) with t < u, t < t_stop and columns t and u of
+    `reduced` nonzero and parallel, or None."""
+    m = reduced.shape[1]
+    if m < 2:
         return None
-    limit = reduced.shape[1] - (k - depth - 1)
-    for t in range(limit):
+    gcd = np.gcd.reduce(reduced, axis=0)
+    nonzero = gcd > 0
+    gcd[~nonzero] = 1
+    lead = reduced[(reduced != 0).argmax(axis=0), np.arange(m)]
+    canon = reduced // np.where(lead < 0, -gcd, gcd)
+    order = np.lexsort(canon)  # stable: equal columns stay in index order
+    ranked = canon[:, order]
+    first = order[:-1]
+    same = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
+    same &= nonzero[first] & (first < t_stop)
+    hits = np.flatnonzero(same)
+    if hits.size == 0:
+        return None
+    i = hits[np.argmin(first[hits])]
+    return int(order[i]), int(order[i + 1])
+
+
+def _descend(reduced, ids, prev_piv, prefix, k, t_stop, bound=None):
+    """Lex-least completion of `prefix` to a dependent k-set by columns of
+    `reduced` (matrix indices `ids`), the next one at a position below
+    t_stop; at depth 0, stops once that column's index passes `bound`."""
+    depth = len(prefix)
+    if depth == k - 2:
+        pair = _parallel_pair(reduced, t_stop)
+        if pair is None:
+            return None
+        return prefix + (int(ids[pair[0]]), int(ids[pair[1]]))
+    m = reduced.shape[1]
+    for t in range(min(t_stop, m - (k - depth - 1))):
+        if bound is not None and ids[t] > bound.value:
+            return None  # a hit with a smaller first column exists
         v = reduced[:, t]
         nz = np.flatnonzero(v)
         if nz.size == 0:
             continue  # a smaller witness; found at an earlier level
         p, piv = int(nz[0]), int(v[nz[0]])
         rest = reduced[:, t + 1 :]
-        # fraction-free update: entries stay (depth+1)-minors of the matrix
+        # fraction-free update: entries stay (depth+2)-minors of the matrix
         nxt = (piv * rest - np.outer(v, rest[p])) // prev_piv
-        res = _descend(nxt, ids[t + 1 :], piv, prefix + (int(ids[t]),), k)
+        res = _descend(nxt, ids[t + 1 :], piv, prefix + (int(ids[t]),), k, m)
         if res is not None:
             return res
     return None
 
 
-def _search_level_range(m64, k, f_start, f_stop):
+def _search_level_range(m64, k, f_start, f_stop, bound=None):
     """Lex-least dependent subset of exact size k with first column index in
     [f_start, f_stop); proper subsets are assumed independent."""
     n = m64.shape[1]
-    for f in range(f_start, min(f_stop, n - k + 1)):
-        v = m64[:, f]
-        if k == 1:
-            if not v.any():
-                return (f,)
-            continue
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            continue
-        p, piv = int(nz[0]), int(v[nz[0]])
-        rest = m64[:, f + 1 :]
-        reduced = piv * rest - np.outer(v, rest[p])
-        res = _descend(reduced, np.arange(f + 1, n), piv, (f,), k)
-        if res is not None:
-            return res
-    return None
+    f_stop = min(f_stop, n - k + 1)
+    if k == 1:
+        zero = np.flatnonzero(~m64[:, f_start:f_stop].any(axis=0))
+        return (f_start + int(zero[0]),) if zero.size else None
+    return _descend(
+        m64[:, f_start:], np.arange(f_start, n), 1, (), k, f_stop - f_start, bound
+    )
 
 
 _WORKER_MATRIX = None
+_WORKER_BOUND = None
 
 
-def _init_worker(matrix_int8):
-    global _WORKER_MATRIX
+def _init_worker(matrix_int8, bound):
+    global _WORKER_MATRIX, _WORKER_BOUND
     _WORKER_MATRIX = matrix_int8.astype(np.int64)
+    _WORKER_BOUND = bound
 
 
 def _worker_range(k, f_start, f_stop):
-    return _search_level_range(_WORKER_MATRIX, k, f_start, f_stop)
+    res = _search_level_range(_WORKER_MATRIX, k, f_start, f_stop, _WORKER_BOUND)
+    if res is not None:
+        with _WORKER_BOUND.get_lock():
+            _WORKER_BOUND.value = min(_WORKER_BOUND.value, res[0])
+    return res
 
 
-def _run_level(m64, k, workers, pool):
+def _run_level(m64, k, workers, pool, bound):
     n = m64.shape[1]
     last_first = n - k
     if last_first < 0:
         return None
     if pool is None or k == 1:
         return _search_level_range(m64, k, 0, last_first + 1)
+    bound.value = n  # no hit yet at this level
     chunk = max(1, -(-(last_first + 1) // (workers * 4)))
     futures = [
         pool.submit(_worker_range, k, s, min(s + chunk, last_first + 1))
@@ -306,6 +348,26 @@ def resolve_budget(budget: int | None) -> int:
     return DEFAULT_SUBSET_BUDGET
 
 
+def _check_minor_bound(matrix, k):
+    """Refuse a search to size k whose int64 elimination could overflow.
+
+    The deepest minors the elimination (and the witness re-check) forms have
+    order j = min(k - 1, rows); Hadamard's bound caps them at a^j * j^(j/2)
+    for entries of magnitude at most a, and an update subtracts two products
+    of such minors, so 2 * bound^2 must stay below 2^63.
+    """
+    j = min(k - 1, matrix.shape[0])
+    if j < 1:
+        return
+    a = max(-int(matrix.min()), int(matrix.max()))  # abs() would wrap at -128
+    if 2 * a ** (2 * j) * j**j >= 2**63:
+        raise ValueError(
+            f"a search to size {k} could overflow int64: twice the square of "
+            f"Hadamard's bound on the {j}-minors ({a}^{j} * {j}^({j}/2)) is "
+            "not below 2^63"
+        )
+
+
 def spark_bruteforce(
     dictionary: ScaledDictionary,
     k_max: int,
@@ -317,10 +379,18 @@ def spark_bruteforce(
     Returns the lexicographically least witness of the smallest size; the
     result does not depend on the worker count.  The budget caps the total
     number of subsets the search is allowed to plan for (a priori, by
-    binomial counts), degrading k_max rather than aborting mid-run.
+    binomial counts), degrading k_max rather than aborting mid-run; it must
+    cover at least the single columns.  Raises ValueError when the int64
+    elimination could overflow at the planned depth, and RuntimeError if a
+    witness fails its exact rank re-check.
     """
     budget = resolve_budget(budget)
     n = dictionary.n_cols
+    if budget < n:
+        raise ValueError(
+            f"budget {budget} is below the {n} single-column subsets, "
+            "so nothing would be searched"
+        )
     k_cap = min(k_max, n)
     planned = 0
     k_checked = 0
@@ -330,26 +400,34 @@ def spark_bruteforce(
             break
         planned += cost
         k_checked = k
+    _check_minor_bound(dictionary.matrix, k_checked)
 
     m64 = dictionary.matrix.astype(np.int64)
     found_size = None
     witness = None
     pool = None
+    bound = None
     try:
         if workers > 1 and k_checked >= 2:
+            bound = multiprocessing.Value("q", n)
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(dictionary.matrix,),
+                initargs=(dictionary.matrix, bound),
             )
         for k in range(1, k_checked + 1):
-            res = _run_level(m64, k, workers, pool)
+            res = _run_level(m64, k, workers, pool, bound)
             if res is not None:
                 found_size, witness = k, res
                 break
     finally:
         if pool is not None:
             pool.shutdown()
+    if witness is not None and exact_rank(m64[:, list(witness)]) != found_size - 1:
+        raise RuntimeError(
+            f"search kernel fault: witness {list(witness)} does not have rank "
+            f"{found_size - 1}"
+        )
     return BruteForceResult(k_max, k_checked, found_size, witness, planned, budget)
 
 

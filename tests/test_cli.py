@@ -265,3 +265,72 @@ def test_spark_rejects_workers_below_one(capsys):
     assert main(["spark", "--family", "thm1", "--q", "2", "--brute-force",
                  "--k-max", "3", "--workers", "0"]) == 2
     assert "--workers must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header,rows",
+    [
+        # the right header on a matrix of the wrong shape
+        ("family=thm1, q=2, scale_sq=2", ["1,0", "0,1"]),
+        ("family=thm3, q=2, scale_sq=2", None),
+        ("family=thm1, q=3, scale_sq=3", None),
+        ("family=thm1, q=32, scale_sq=32", None),
+        ("family=thm1, q=2, scale_sq=4", None),
+        ("family=thm2, q=2, scale_sq=4", None),
+        ("family=thm1, q=2, scale_sq=2", [",".join(["1"] * 8)] * 4),
+    ],
+)
+def test_reader_rejects_header_shape_mismatch(tmp_path, capsys, header, rows):
+    if rows is None:  # the rows of the real thm1 q=2 dictionary
+        rows = GOLDEN_Q2_CSV.splitlines()[1:]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        f"# spark-forge dictionary v1, {header}, layout=block-major\n"
+        + "\n".join(rows) + "\n"
+    )
+    with pytest.raises(InputError):
+        read_dictionary(bad)
+    assert main(["verify", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_kernel_vector(tmp_path, capsys):
+    main(["construct", "--family", "thm1", "--q", "2", "--out-dir", str(tmp_path)])
+    zero = tmp_path / "zero.csv"
+    zero.write_text(
+        "# spark-forge vector v1, family=thm1, q=2, length=12, layout=block-major\n"
+    )
+    code = main(["verify", str(tmp_path / "dictionary_thm1_q2.csv"), str(zero),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL kernel-vector: vector is zero" in out
+    assert "coherence =" not in out
+    report = json.loads((tmp_path / "report_thm1_q2.json").read_text())
+    kernel = [c for c in report["checks"] if c["name"] == "kernel-vector"]
+    assert kernel == [{"name": "kernel-vector", "passed": False, "checks": 1,
+                       "failures": ["vector is zero"]}]
+
+
+def test_reader_rejects_repeated_vector_index(tmp_path, capsys):
+    main(["construct", "--family", "thm1", "--q", "2", "--out-dir", str(tmp_path)])
+    cancelling = tmp_path / "cancelling.csv"
+    cancelling.write_text(
+        "# spark-forge vector v1, family=thm1, q=2, length=12, layout=block-major\n"
+        "5,1\n5,-1\n"
+    )
+    with pytest.raises(InputError, match="repeated support index"):
+        read_vector(cancelling)
+    assert main(["verify", str(tmp_path / "dictionary_thm1_q2.csv"),
+                 str(cancelling)]) == 2
+    assert "repeated support index" in capsys.readouterr().err
+
+
+def test_spark_rejects_budget_below_columns(capsys, monkeypatch):
+    argv = ["spark", "--family", "thm1", "--q", "2", "--brute-force",
+            "--k-max", "3", "--workers", "1"]
+    assert main(argv + ["--budget", "-5"]) == 2
+    assert "budget -5 is below the 12" in capsys.readouterr().err
+    monkeypatch.setenv("SPARK_FORGE_BUDGET", "11")
+    assert main(argv) == 2
+    assert "budget 11 is below the 12" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from spark_forge import (
     spark_certify,
     uniqueness_threshold,
 )
+from spark_forge import dictionaries as dct
 from spark_forge.dictionaries import BUDGET_ENV_VAR
 
 
@@ -36,6 +37,20 @@ def _oracle_first_dependent(matrix, k):
         if _oracle_rank(matrix[:, subset]) < k:
             return subset
     return None
+
+
+def _oracle_search(matrix, k_max):
+    """(size, witness) of the smallest, then lex-least, dependent column
+    subset of size <= k_max, by itertools and exact_rank."""
+    for k in range(1, min(k_max, matrix.shape[1]) + 1):
+        for subset in itertools.combinations(range(matrix.shape[1]), k):
+            if exact_rank(matrix[:, subset]) < k:
+                return k, subset
+    return None, None
+
+
+def _as_dictionary(matrix):
+    return ScaledDictionary("thm1", 2, matrix.shape[0], 1, matrix, (0,))
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +83,7 @@ def test_bruteforce_matches_oracle_scan(q2_pair):
     res = spark_bruteforce(d, 3)
     assert res.found_size == 3
     assert res.witness == oracle == (0, 4, 11)
+    assert spark_bruteforce(d, 3, workers=2) == res
     assert _oracle_rank(d.matrix[:, res.witness]) == 2
 
 
@@ -78,6 +94,7 @@ def test_bruteforce_duplicate_and_zero_columns():
     )
     res = spark_bruteforce(dup, 2)
     assert res.found_size == 2 and res.witness == (0, 2)
+    assert spark_bruteforce(dup, 2, workers=2) == res
 
     zero = ScaledDictionary(
         "thm1", 2, 2, 1,
@@ -85,6 +102,7 @@ def test_bruteforce_duplicate_and_zero_columns():
     )
     res = spark_bruteforce(zero, 2)
     assert res.found_size == 1 and res.witness == (1,)
+    assert spark_bruteforce(zero, 2, workers=2) == res
 
 
 def test_bruteforce_thm2_clears_five_and_finds_six(gf2):
@@ -193,3 +211,121 @@ def test_result_reports_budget_and_plan(q2_pair):
     d, _ = q2_pair
     res = spark_bruteforce(d, 3, budget=10**6)
     assert res == BruteForceResult(3, 3, 3, (0, 4, 11), 298, 10**6)
+
+
+def _random_planted(rng):
+    """Small random {-1, 0, 1} matrix with planted zero, parallel and
+    antiparallel columns and columns that are sums of two or three others."""
+    rows = int(rng.integers(3, 7))
+    cols = int(rng.integers(4, 10))
+    m = rng.integers(-1, 2, size=(rows, cols))
+    for _ in range(int(rng.integers(0, 3))):
+        dst, a, b, c = rng.choice(cols, size=4, replace=False)
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            m[:, dst] = 0
+        elif kind <= 2:
+            m[:, dst] = m[:, a] * int(rng.choice([-2, -1, 1, 2]))
+        elif kind <= 4:
+            m[:, dst] = m[:, a] - m[:, b]
+        else:
+            m[:, dst] = m[:, a] + m[:, b] - m[:, c]
+    return m.astype(np.int8)
+
+
+def test_bruteforce_random_planted_against_oracle():
+    rng = np.random.default_rng(2024)
+    for trial in range(300):
+        m = _random_planted(rng)
+        k_max = int(rng.integers(1, 5))
+        size, witness = _oracle_search(m, k_max)
+        res = spark_bruteforce(_as_dictionary(m), k_max)
+        assert (res.found_size, res.witness) == (size, witness), (trial, m)
+        if trial % 10 == 0:
+            assert spark_bruteforce(_as_dictionary(m), k_max, workers=2) == res
+
+
+def _chunked_case():
+    """33 columns, so a 2-worker search at k = 3 cuts the first columns into
+    chunks of 4.  The lex-least witness (7, 30, 32) starts at the last first
+    column of the second chunk and ends deep in it; the third chunk has a
+    hit (8, 9, 10) at its very first column, found almost at once."""
+    rng = np.random.default_rng(0)
+    m = rng.integers(-1, 2, size=(8, 33)).astype(np.int8)
+    for a, b, c in ((7, 30, 32), (8, 9, 10)):
+        mask = rng.random(8) < 0.5
+        m[:, a] = np.where(mask, rng.choice([-1, 1], 8), 0)
+        m[:, b] = np.where(~mask, rng.choice([-1, 1], 8), 0)
+        m[:, c] = m[:, a] + m[:, b]  # disjoint supports: stays in {-1, 0, 1}
+    return m
+
+
+def test_bruteforce_witness_in_later_chunk_than_quick_hit():
+    m = _chunked_case()
+    assert _oracle_search(m, 3) == (3, (7, 30, 32))
+    assert exact_rank(m[:, [8, 9, 10]]) == 2
+    d = _as_dictionary(m)
+    serial = spark_bruteforce(d, 3, workers=1)
+    assert serial.witness == (7, 30, 32)
+    for workers in (2, 4):  # 4 also chunks more finely (2 first columns each)
+        assert spark_bruteforce(d, 3, workers=workers) == serial
+
+
+def test_search_range_stops_past_the_shared_bound():
+    m64 = _chunked_case().astype(np.int64)
+
+    class Bound:
+        value = 33
+
+    assert dct._search_level_range(m64, 3, 4, 8, Bound) == (7, 30, 32)
+    Bound.value = 7  # a hit at first column 7 does not cut column 7 short
+    assert dct._search_level_range(m64, 3, 4, 8, Bound) == (7, 30, 32)
+    Bound.value = 5  # a hit at first column 5 would beat anything here
+    assert dct._search_level_range(m64, 3, 4, 8, Bound) is None
+    assert dct._search_level_range(m64, 3, 8, 12, Bound) is None
+
+
+def test_parallel_pair_helper():
+    # (2, -4) is parallel to (-1, 2) after gcd scaling and sign fixing
+    r = np.array([[1, 2, 3, -1], [1, -4, 5, 2]])
+    assert dct._parallel_pair(r, 4) == (1, 3)
+    assert dct._parallel_pair(r, 1) is None  # only first index 0 allowed
+    assert dct._parallel_pair(np.array([[1, 0, 1], [0, 1, 1]]), 3) is None
+    # zero columns are never part of a pair; the lex-least pair wins
+    z = np.array([[0, 3, 0, 1, 6, 1], [0, 0, 0, 0, 0, 0], [0, 3, 0, -2, 6, -2]])
+    assert dct._parallel_pair(z, 6) == (1, 4)
+    assert dct._parallel_pair(z, 2) == (1, 4)
+    assert dct._parallel_pair(z[:, 2:], 6) == (1, 3)
+    assert dct._parallel_pair(np.zeros((2, 1), dtype=np.int64), 1) is None
+
+
+def test_bruteforce_refuses_possible_int64_overflow(monkeypatch):
+    m = np.random.default_rng(5).choice([-1, 1], size=(64, 30)).astype(np.int8)
+
+    def no_level(*args):
+        raise AssertionError("a level ran before the overflow check")
+
+    monkeypatch.setattr(dct, "_run_level", no_level)
+    with pytest.raises(ValueError, match="overflow int64"):
+        spark_bruteforce(_as_dictionary(m), 30, budget=2**31)
+
+
+def test_bruteforce_rejects_budget_below_single_columns(q2_pair, monkeypatch):
+    d, _ = q2_pair
+    for budget in (-5, 0, 11):
+        with pytest.raises(ValueError, match="budget"):
+            spark_bruteforce(d, 3, budget=budget)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "11")
+    with pytest.raises(ValueError, match="budget 11"):
+        spark_bruteforce(d, 3)
+    assert spark_bruteforce(d, 3, budget=12).k_checked == 1
+
+
+def test_bruteforce_rechecks_witness_rank(q2_pair, monkeypatch):
+    d, _ = q2_pair
+    # (0, 1, 2) has rank 3: a kernel reporting it must not be believed
+    monkeypatch.setattr(
+        dct, "_run_level", lambda m64, k, *rest: (0, 1, 2) if k == 3 else None
+    )
+    with pytest.raises(RuntimeError, match="rank"):
+        spark_bruteforce(d, 3)
