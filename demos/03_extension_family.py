@@ -13,10 +13,10 @@ ext = base.extension()
 
 print("extension GF(4) over GF(2), pairs (a, b) = a + b*y with y^2 = y + 1")
 print("embedded subfield words:", [f"{i:02b}" for i in ext.subfield_indices()])
-for b in base.elements():
-    lift = ext.coset_lift(b)
-    members = [f"{e.index:02b}" for e in ext.coset_image(b).members()]
-    print(f"  base {b.index}: lift {lift.bits}, coset {{{', '.join(members)}}}")
+for b in range(base.q):
+    # lift(b) = b; its coset is the lift translated by each subfield word
+    members = [f"{s | b:02b}" for s in ext.subfield_indices()]
+    print(f"  base {b}: lift {b:02b}, coset {{{', '.join(members)}}}")
 
 hs = sf.permuted_hadamard(2)
 print("\npermuted sign matrix of order 4:")

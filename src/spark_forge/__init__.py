@@ -31,17 +31,16 @@ from .dictionaries import (
     spark_certify,
     uniqueness_threshold,
 )
-from .gf import Coset, FieldContext, FieldElement
+from .gf import FieldContext
 from .hadamard import (
     SignMatrix,
-    flip_upper_bits,
     flip_upper_bits_table,
     permuted_hadamard,
     sylvester,
     verify_coset_antisymmetry,
     verify_row_antisymmetry,
 )
-from .mub import ScaledBasis, build_basis, build_basis_family, embed, verify_mub
+from .mub import ScaledBasis, build_basis, verify_mub
 from .report import CheckReport
 
 __version__ = "0.1.0"
@@ -50,9 +49,7 @@ __all__ = [
     "BruteForceResult",
     "CheckReport",
     "CollisionTable",
-    "Coset",
     "FieldContext",
-    "FieldElement",
     "INFINITY",
     "IncidenceNet",
     "LatinSquare",
@@ -63,7 +60,6 @@ __all__ = [
     "SparseVector",
     "apply",
     "build_basis",
-    "build_basis_family",
     "build_dictionary",
     "build_dictionary_thm1",
     "build_dictionary_thm2",
@@ -73,9 +69,7 @@ __all__ = [
     "build_null_vector_thm2",
     "coherence",
     "collision_table",
-    "embed",
     "exact_rank",
-    "flip_upper_bits",
     "flip_upper_bits_table",
     "latin_square",
     "permuted_hadamard",

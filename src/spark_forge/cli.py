@@ -101,10 +101,17 @@ def _parse_header(line: str, magic: str, fields: tuple[str, ...]) -> dict:
     return meta
 
 
+def _header_int(path, meta: dict, key: str) -> int:
+    try:
+        return int(meta[key])
+    except ValueError as exc:
+        raise InputError(f"{path}: header field {key} is not an integer") from exc
+
+
 def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -117,7 +124,8 @@ def read_dictionary(path: str | Path, text: str | None = None) -> dct.ScaledDict
     if not lines:
         raise InputError(f"{path}: empty dictionary file")
     meta = _parse_header(lines[0], DICT_MAGIC, ("family", "q", "scale_sq", "layout"))
-    family, q, scale_sq = meta["family"], int(meta["q"]), int(meta["scale_sq"])
+    family = meta["family"]
+    q, scale_sq = _header_int(path, meta, "q"), _header_int(path, meta, "scale_sq")
     if meta["layout"] != "block-major":
         raise InputError(f"{path}: unsupported layout {meta['layout']!r}")
     try:
@@ -159,8 +167,10 @@ def read_vector(
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError(f"{path}: empty vector file")
-    meta = _parse_header(lines[0], VECTOR_MAGIC, ("family", "q", "length"))
-    length = int(meta["length"])
+    meta = _parse_header(lines[0], VECTOR_MAGIC, ("family", "q", "length", "layout"))
+    if meta["layout"] != "block-major":
+        raise InputError(f"{path}: unsupported layout {meta['layout']!r}")
+    q, length = _header_int(path, meta, "q"), _header_int(path, meta, "length")
     support = []
     for ln in lines[1:]:
         try:
@@ -176,7 +186,7 @@ def read_vector(
     # vector behind entries that cancel
     if len({idx for idx, _ in support}) != len(support):
         raise InputError(f"{path}: repeated support index")
-    return dct.SparseVector(length, tuple(support), meta["family"]), int(meta["q"])
+    return dct.SparseVector(length, tuple(support), meta["family"]), q
 
 
 def dictionary_json(d: dct.ScaledDictionary, x: dct.SparseVector) -> str:
@@ -209,14 +219,12 @@ def _machinery_context(family: str, q: int) -> FieldContext:
 
 
 def collect_reports(
-    family: str,
-    q: int,
     dictionary: dct.ScaledDictionary,
     vector: dct.SparseVector | None,
     reference: dct.ScaledDictionary | None = None,
 ) -> list[CheckReport]:
     """Every named structural verifier, applied to the given artifacts."""
-    ctx = _machinery_context(family, q)
+    ctx = _machinery_context(dictionary.family, dictionary.q)
     reports = []
 
     squares = [latin_square(ctx, r) for r in range(ctx.q)]
@@ -225,7 +233,7 @@ def collect_reports(
     reports.append(verify_net(build_net(ctx)))
     hs = permuted_hadamard(ctx.m)
     reports.append(verify_row_antisymmetry(hs))
-    if family == "thm2":
+    if dictionary.family == "thm2":
         reports.append(verify_coset_antisymmetry(ctx, hs))
 
     support_rep = CheckReport("column-support")
@@ -373,7 +381,10 @@ def render_svg(matrix: np.ndarray, vector: np.ndarray | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _artifact_paths(out_dir: Path, family: str, q: int) -> dict[str, Path]:
+def _artifact_paths(out_dir: str, family: str, q: int) -> dict[str, Path]:
+    """Output paths for one family and q, creating out_dir if needed."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{family}_q{q}"
     return {
         "dictionary": out_dir / f"dictionary_{stem}.csv",
@@ -385,22 +396,32 @@ def _artifact_paths(out_dir: Path, family: str, q: int) -> dict[str, Path]:
 
 
 def _build_pair(family: str, q: int):
-    dct._require_family_q(family, q)
     return dct.build_dictionary(family, q), dct.build_null_vector(family, q)
+
+
+def _write(path: Path, text: str) -> None:
+    path.write_text(text)
+    print(f"wrote {path}")
+
+
+def _write_csv_pair(paths, dictionary, vector) -> None:
+    """The dictionary and vector CSVs, as `construct` and `export` write them."""
+    _write(paths["dictionary"], dictionary_csv(dictionary))
+    _write(paths["vector"], vector_csv(vector, dictionary.q))
 
 
 def _load_inputs(args) -> tuple[dct.ScaledDictionary, dct.SparseVector | None]:
     """Resolve (dictionary, vector) from positional paths or --family/--q."""
     paths = [Path(p) for p in getattr(args, "paths", []) or []]
     dictionary = None
-    vector = None
+    vector, vector_q = None, None
     for p in paths:
         text = _read_text(p)
         head = text.lstrip()
         if head.startswith(DICT_MAGIC):
             dictionary = read_dictionary(p, text)
         elif head.startswith(VECTOR_MAGIC):
-            vector, _ = read_vector(p, text)
+            vector, vector_q = read_vector(p, text)
         else:
             raise InputError(f"{p}: not a spark-forge dictionary or vector file")
     if dictionary is None:
@@ -408,39 +429,39 @@ def _load_inputs(args) -> tuple[dct.ScaledDictionary, dct.SparseVector | None]:
             raise InputError("provide input paths or both --family and --q")
         dictionary, built_vector = _build_pair(args.family, args.q)
         if vector is None:
-            vector = built_vector
+            vector, vector_q = built_vector, dictionary.q
     if args.family is not None and dictionary.family != args.family:
         raise InputError(
             f"--family {args.family} does not match file family {dictionary.family}"
         )
     if args.q is not None and dictionary.q != args.q:
         raise InputError(f"--q {args.q} does not match file q {dictionary.q}")
-    if vector is not None and vector.length != dictionary.n_cols:
-        raise InputError(
-            f"vector length {vector.length} does not match dictionary "
-            f"columns {dictionary.n_cols}"
-        )
+    if vector is not None:
+        if (vector.family, vector_q) != (dictionary.family, dictionary.q):
+            raise InputError(
+                f"vector header family={vector.family}, q={vector_q} does not "
+                f"match dictionary family={dictionary.family}, q={dictionary.q}"
+            )
+        if vector.length != dictionary.n_cols:
+            raise InputError(
+                f"vector length {vector.length} does not match dictionary "
+                f"columns {dictionary.n_cols}"
+            )
     return dictionary, vector
 
 
 def _cmd_construct(args) -> int:
     started = time.perf_counter()
     dictionary, vector = _build_pair(args.family, args.q)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = _artifact_paths(out_dir, args.family, args.q)
-    paths["dictionary"].write_text(dictionary_csv(dictionary))
-    paths["vector"].write_text(vector_csv(vector, dictionary.q))
-    checks = collect_reports(args.family, args.q, dictionary, vector)
+    paths = _artifact_paths(args.out_dir, args.family, args.q)
+    _write_csv_pair(paths, dictionary, vector)
+    checks = collect_reports(dictionary, vector)
     certificate = dct.spark_certify(dictionary, vector)
     report = run_report(
         "construct", dictionary, vector, certificate, checks,
         time.perf_counter() - started,
     )
-    paths["report"].write_text(report_json(report))
-    print(f"wrote {paths['dictionary']}")
-    print(f"wrote {paths['vector']}")
-    print(f"wrote {paths['report']}")
+    _write(paths["report"], report_json(report))
     failed = [rep for rep in checks if not rep.passed]
     return 1 if failed else 0
 
@@ -449,9 +470,7 @@ def _cmd_verify(args) -> int:
     started = time.perf_counter()
     dictionary, vector = _load_inputs(args)
     reference, _ = _build_pair(dictionary.family, dictionary.q)
-    checks = collect_reports(
-        dictionary.family, dictionary.q, dictionary, vector, reference
-    )
+    checks = collect_reports(dictionary, vector, reference)
     certificate = None
     kernel = next((rep for rep in checks if rep.name == "kernel-vector"), None)
     if kernel is not None and kernel.passed:
@@ -465,11 +484,8 @@ def _cmd_verify(args) -> int:
         time.perf_counter() - started,
     )
     if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = _artifact_paths(out_dir, dictionary.family, dictionary.q)["report"]
-        path.write_text(report_json(report))
-        print(f"wrote {path}")
+        path = _artifact_paths(args.out_dir, dictionary.family, dictionary.q)["report"]
+        _write(path, report_json(report))
     return 0 if all(rep.passed for rep in checks) else 1
 
 
@@ -516,42 +532,30 @@ def _cmd_spark(args) -> int:
                 file=sys.stderr,
             )
     if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         report = run_report(
             "spark", dictionary, vector, certificate, [],
             time.perf_counter() - started,
         )
-        path = _artifact_paths(out_dir, dictionary.family, dictionary.q)["report"]
-        path.write_text(report_json(report))
-        print(f"wrote {path}")
+        path = _artifact_paths(args.out_dir, dictionary.family, dictionary.q)["report"]
+        _write(path, report_json(report))
     return 0
 
 
 def _cmd_render(args) -> int:
     dictionary, vector = _load_inputs(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = _artifact_paths(out_dir, dictionary.family, dictionary.q)["figure"]
+    path = _artifact_paths(args.out_dir, dictionary.family, dictionary.q)["figure"]
     dense = vector.dense() if vector is not None else None
-    path.write_text(render_svg(dictionary.matrix, dense))
-    print(f"wrote {path}")
+    _write(path, render_svg(dictionary.matrix, dense))
     return 0
 
 
 def _cmd_export(args) -> int:
     dictionary, vector = _build_pair(args.family, args.q)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = _artifact_paths(out_dir, args.family, args.q)
+    paths = _artifact_paths(args.out_dir, args.family, args.q)
     if args.format == "csv":
-        paths["dictionary"].write_text(dictionary_csv(dictionary))
-        paths["vector"].write_text(vector_csv(vector, dictionary.q))
-        print(f"wrote {paths['dictionary']}")
-        print(f"wrote {paths['vector']}")
+        _write_csv_pair(paths, dictionary, vector)
     else:
-        paths["json"].write_text(dictionary_json(dictionary, vector))
-        print(f"wrote {paths['json']}")
+        _write(paths["json"], dictionary_json(dictionary, vector))
     return 0
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .designs import INFINITY, Label, build_net
 from .gf import FieldContext
 from .hadamard import permuted_hadamard
-from .mub import ScaledBasis, build_basis, build_basis_family, gram_strips
+from .mub import ScaledBasis, build_basis, gram_strips
 
 DEFAULT_SUBSET_BUDGET = 10**8
 BUDGET_ENV_VAR = "SPARK_FORGE_BUDGET"
@@ -104,8 +104,7 @@ def build_dictionary_thm1(ctx: FieldContext) -> ScaledDictionary:
     _require_family_q("thm1", ctx.q)
     net = build_net(ctx)
     hs = permuted_hadamard(ctx.m)
-    bases = build_basis_family(net, hs)
-    matrix = np.hstack([b.matrix for b in bases])
+    matrix = np.hstack([build_basis(net, hs, b).matrix for b in net.labels])
     return ScaledDictionary("thm1", ctx.q, ctx.q**2, ctx.q, matrix, net.labels)
 
 
@@ -137,20 +136,18 @@ def build_dictionary_thm2(ctx: FieldContext) -> ScaledDictionary:
 def build_null_vector_thm2(ctx: FieldContext) -> SparseVector:
     """The (q^2+q)-sparse kernel vector: block b holds +1 at columns (j,
     lift(b)) for every j in the coset of lift(b^2); the infinity block holds
-    -1 at columns (s, 0) for every embedded subfield element s."""
+    -1 at columns (s, 0) for every embedded subfield element s.  In words
+    (see `gf`), lift(b) = b and that coset is {s | b^2 : s in the subfield}."""
     _require_family_q("thm2", ctx.q)
     ext = ctx.extension()
     bq, eq = ctx.q, ext.q
     d = eq * eq
     sq = ctx.squares()
-    support = []
-    for b in range(bq):
-        lift = ext.coset_lift(ctx.element(b)).index
-        coset = ext.coset_image(ctx.element(int(sq[b])))
-        for j in coset.members():
-            support.append((b * d + j.index * eq + lift, 1))
-    for s in ext.subfield_indices():
-        support.append((bq * d + s * eq, -1))
+    sub = ext.subfield_indices()
+    support = [
+        (b * d + (s | int(sq[b])) * eq + b, 1) for b in range(bq) for s in sub
+    ]
+    support += [(bq * d + s * eq, -1) for s in sub]
     support.sort()
     return SparseVector(d * (bq + 1), tuple(support), "thm2")
 
@@ -511,6 +508,9 @@ def spark_certify(
         raise ValueError("vector is not in the kernel of the dictionary")
 
     mu = coherence(dictionary)
+    if mu == 0:
+        # only zero columns can be dependent, and the bounds divide by mu
+        raise ValueError("coherence is zero: no coherence bound applies")
     general = 1 + 1 / mu
     union = (1 + Fraction(1, dictionary.q)) / mu
     upper = len(x.support)

@@ -13,13 +13,14 @@ reduced modulo a fixed irreducible polynomial, one per degree:
 A quadratic extension of GF(q) is realized as pairs (a, b) = a + b*y with
 y^2 = y + c, where c is the smallest element of GF(q) making y^2 + y + c
 irreducible.  The pair (a, b) is stored as the concatenated word
-bits(a) | bits(b), a-part first, so the embedded copy of GF(q) consists
-exactly of the words whose low m/2 bits are zero.
+bits(a) | bits(b), a-part first.  The API works on these indices only:
+
+    embed(a)  = a << half      the embedded copy of GF(q): low half bits zero
+    lift(b)   = b              the pair (0, b) = b*y
+    coset key = i & low_mask   i + GF(q) is the coset of lift(i & low_mask)
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,57 +57,19 @@ def clmod(a: int, p: int) -> int:
     return a
 
 
-def is_irreducible(p: int) -> bool:
-    """Trial division over GF(2); fine for the degrees handled here (<= 8)."""
-    deg = p.bit_length() - 1
-    if deg <= 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for divisor in range(1 << d, 1 << (d + 1)):
-            if clmod(p, divisor) == 0:
-                return False
-    return True
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """An element of a FieldContext, identified by its bit-word index."""
-
-    ctx: "FieldContext"
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.ctx.q:
-            raise ValueError(f"index {self.index} out of range for GF({self.ctx.q})")
-
-    def _check_ctx(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if self.ctx != other.ctx:
-            raise ValueError("elements belong to different field contexts")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check_ctx(other)
-        return FieldElement(self.ctx, self.index ^ other.index)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check_ctx(other)
-        return FieldElement(self.ctx, self.ctx.mul_index(self.index, other.index))
-
-    @property
-    def bits(self) -> str:
-        return format(self.index, f"0{self.ctx.m}b")
-
-    def __repr__(self):
-        return f"<{self.bits} in GF({self.ctx.q})>"
-
-
 class FieldContext:
     """GF(2^m) for m <= 8, in plain ("base") or quadratic-extension mode.
 
-    Base contexts reduce modulo the fixed irreducible polynomial for their
-    degree.  Extension contexts are built with :meth:`extension` and carry
-    the embedded-subfield and coset machinery on top of their base field.
+    Elements are their integer indices; addition is XOR and multiplication
+    is a lookup in :meth:`mul_table`.  Base contexts reduce modulo the fixed
+    irreducible polynomial for their degree.  An extension context, built
+    with :meth:`extension`, stores the pair (a, b) = a + b*y as the word
+    (a << half) | b, so for base elements a and b:
+
+    * embed(a) = a << half; these words are :meth:`subfield_indices`;
+    * lift(b) = b, the pair (0, b);
+    * the coset i + GF(q) of a word i is keyed by its low half bits,
+      i & low_mask, which is the base element whose lift it contains.
     """
 
     def __init__(self, m: int, *, _base: "FieldContext | None" = None, _c: int = 0):
@@ -119,8 +82,6 @@ class FieldContext:
             self.poly = _IRREDUCIBLE[m]
             self.base = None
             self.c = None
-            if not is_irreducible(self.poly):
-                raise ValueError(f"polynomial {self.poly:#b} is not irreducible")
         else:
             self.m = 2 * _base.m
             self.q = _base.q ** 2
@@ -129,62 +90,6 @@ class FieldContext:
             self.base = _base
             self.c = _c
         self._table = None
-
-    # -- identity ------------------------------------------------------
-
-    def _key(self):
-        if self.mode == "base":
-            return ("base", self.m, self.poly)
-        return ("ext", self.base._key(), self.c)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldContext) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        if self.mode == "base":
-            return f"FieldContext(GF({self.q}))"
-        return f"FieldContext(GF({self.q}) over GF({self.base.q}))"
-
-    # -- elements ------------------------------------------------------
-
-    def element(self, index: int) -> FieldElement:
-        return FieldElement(self, index)
-
-    def elements(self) -> list[FieldElement]:
-        return [FieldElement(self, i) for i in range(self.q)]
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        if self.mode == "extension":
-            return FieldElement(self, 1 << self.half)
-        return FieldElement(self, 1)
-
-    # -- arithmetic on raw indices --------------------------------------
-
-    def add_index(self, i: int, j: int) -> int:
-        return i ^ j
-
-    def mul_index(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        if self.mode == "base":
-            return clmod(clmul(i, j), self.poly)
-        h, mask = self.half, self.low_mask
-        a1, b1 = i >> h, i & mask
-        a2, b2 = j >> h, j & mask
-        base = self.base
-        # (a1 + b1 y)(a2 + b2 y) with y^2 = y + c
-        bb = base.mul_index(b1, b2)
-        hi = base.mul_index(a1, a2) ^ base.mul_index(self.c, bb)
-        lo = base.mul_index(a1, b2) ^ base.mul_index(a2, b1) ^ bb
-        return (hi << h) | lo
 
     def mul_table(self) -> np.ndarray:
         """The full q x q multiplication table, entry (i, j) = i*j."""
@@ -234,86 +139,8 @@ class FieldContext:
     def low_mask(self) -> int:
         return (1 << self.half) - 1
 
-    def _require_extension(self):
-        if self.mode != "extension":
-            raise ValueError("operation requires an extension context")
-
     def subfield_indices(self) -> list[int]:
         """Indices of the embedded copy of the base field, in base order."""
-        self._require_extension()
+        if self.mode != "extension":
+            raise ValueError("operation requires an extension context")
         return [a << self.half for a in range(self.base.q)]
-
-    def in_subfield(self, index: int) -> bool:
-        self._require_extension()
-        return (index & self.low_mask) == 0
-
-    def embed(self, a: FieldElement) -> FieldElement:
-        """The base element a as the extension pair (a, 0)."""
-        self._require_extension()
-        if a.ctx != self.base:
-            raise ValueError("embed expects an element of the base field")
-        return FieldElement(self, a.index << self.half)
-
-    def coset_lift(self, b: FieldElement) -> FieldElement:
-        """The pair (0, b): the representative of coset_image(b) with zero
-        subfield part."""
-        self._require_extension()
-        if b.ctx != self.base:
-            raise ValueError("coset_lift expects an element of the base field")
-        return FieldElement(self, b.index)
-
-    def coset_image(self, b: FieldElement) -> "Coset":
-        """Image of a base element under the canonical vector-space
-        isomorphism GF(q) -> GF(q^2)/GF(q), sending b to the coset of b*y."""
-        return Coset(self.coset_lift(b))
-
-    def coset_preimage(self, i: FieldElement | int) -> FieldElement:
-        """The unique base element whose coset_image contains i; zero exactly
-        when i lies in the embedded subfield."""
-        self._require_extension()
-        index = i.index if isinstance(i, FieldElement) else i
-        return FieldElement(self.base, index & self.low_mask)
-
-    def coset_of(self, i: FieldElement | int) -> "Coset":
-        self._require_extension()
-        index = i.index if isinstance(i, FieldElement) else i
-        return Coset(FieldElement(self, index))
-
-
-class Coset:
-    """A coset i + GF(q) inside GF(q^2), determined by the low half bits."""
-
-    __slots__ = ("representative",)
-
-    def __init__(self, representative: FieldElement):
-        representative.ctx._require_extension()
-        self.representative = representative
-
-    @property
-    def ctx(self) -> FieldContext:
-        return self.representative.ctx
-
-    @property
-    def key(self) -> int:
-        return self.representative.index & self.ctx.low_mask
-
-    def members(self) -> tuple[FieldElement, ...]:
-        ctx = self.ctx
-        h, key = ctx.half, self.key
-        return tuple(FieldElement(ctx, (s << h) | key) for s in range(ctx.base.q))
-
-    def __contains__(self, elt: FieldElement) -> bool:
-        return elt.ctx == self.ctx and (elt.index & self.ctx.low_mask) == self.key
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Coset)
-            and self.ctx == other.ctx
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.key))
-
-    def __repr__(self):
-        return f"Coset[{self.representative.bits}]"

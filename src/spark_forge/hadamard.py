@@ -2,7 +2,7 @@
 antisymmetric under XOR translation.
 
 The order-2^m Sylvester matrix has entry (w, v) = (-1)^popcount(w AND v).
-Permuting its rows by flip_upper_bits produces a matrix whose 0-row and
+Permuting its rows by flip_upper_bits_table produces a matrix whose 0-row and
 0-column are all ones and whose row i negates when the column index is
 translated by i (j -> j XOR i), for every i != 0.
 """
@@ -50,15 +50,9 @@ def sylvester(m: int) -> SignMatrix:
     return SignMatrix(q, entries)
 
 
-def flip_upper_bits(word: int, m: int) -> int:
-    """Bijection on m-bit words: flip every bit above the lowest set bit,
-    keep the rest; 0 maps to 0."""
-    lsb = word & -word
-    mask = ((1 << m) - 1) & ~((lsb << 1) - 1)
-    return word ^ mask
-
-
 def flip_upper_bits_table(m: int) -> np.ndarray:
+    """Bijection on m-bit words, as a table: flip every bit above the lowest
+    set bit, keep the rest; 0 maps to 0."""
     if not 1 <= m <= MAX_ORDER_EXP:
         raise ValueError(f"m must be in 1..{MAX_ORDER_EXP}, got {m}")
     w = np.arange(1 << m, dtype=np.int32)
@@ -68,7 +62,7 @@ def flip_upper_bits_table(m: int) -> np.ndarray:
 
 
 def permuted_hadamard(m: int) -> SignMatrix:
-    """Sylvester matrix with row w replaced by row flip_upper_bits(w)."""
+    """Sylvester matrix with row w replaced by row flip_upper_bits_table(m)[w]."""
     h = sylvester(m)
     return SignMatrix(h.order, h.entries[flip_upper_bits_table(m)])
 
@@ -94,27 +88,26 @@ def verify_row_antisymmetry(sm: SignMatrix) -> CheckReport:
 def verify_coset_antisymmetry(ext: FieldContext, sm: SignMatrix) -> CheckReport:
     """For the permuted matrix of extension order q^2: rows indexed by the
     embedded subfield are +1 on every lifted column, and any other row i
-    pairs to zero between the lifts of b and of coset_preimage(i) + b."""
+    pairs to zero between the lifts of b and of (i & low_mask) ^ b.  The
+    lift of a base element b is the word b (see `gf`)."""
     rep = CheckReport("coset-antisymmetry")
     if ext.mode != "extension":
         raise ValueError("verify_coset_antisymmetry needs an extension context")
     if sm.order != ext.q:
         raise ValueError(f"matrix order {sm.order} does not match GF({ext.q})")
     e = sm.entries
-    base_q = ext.base.q
-    lifts = [ext.coset_lift(ext.base.element(b)).index for b in range(base_q)]
-    sub = set(ext.subfield_indices())
+    lifts = range(ext.base.q)
     for i in range(ext.q):
-        if i in sub:
-            for b in range(base_q):
+        star = i & ext.low_mask
+        if star == 0:
+            for b in lifts:
                 rep.require(
-                    int(e[i, lifts[b]]) == 1,
-                    f"subfield row {i}: entry at lifted column {lifts[b]} is not 1",
+                    int(e[i, b]) == 1,
+                    f"subfield row {i}: entry at lifted column {b} is not 1",
                 )
         else:
-            star = ext.coset_preimage(i).index
-            for b in range(base_q):
-                s = int(e[i, lifts[b]]) + int(e[i, lifts[star ^ b]])
+            for b in lifts:
+                s = int(e[i, b]) + int(e[i, star ^ b])
                 rep.require(
                     s == 0,
                     f"row {i}: lifts of {b} and {star ^ b} sum to {s}, want 0",

@@ -34,21 +34,6 @@ class ScaledBasis:
     scale_sq: int
 
 
-def embed(signs: np.ndarray, net: IncidenceNet, b: Label, j: int) -> np.ndarray:
-    """Spread the q sign values over the support of net vector (b, j).
-
-    Position k of the support (ascending) receives signs[k]; with all-ones
-    signs this reproduces the incidence vector itself.
-    """
-    q = net.q
-    signs = np.asarray(signs)
-    if signs.shape != (q,):
-        raise ValueError(f"sign vector must have length {q}, got {signs.shape}")
-    out = np.zeros(q * q, dtype=np.int8)
-    out[np.flatnonzero(net.vector(b, j))] = signs
-    return out
-
-
 def build_basis(net: IncidenceNet, hs: SignMatrix, b: Label) -> ScaledBasis:
     """Scaled basis for label b: column u*q + v is column v of hs embedded
     along net vector (b, u)."""
@@ -61,10 +46,6 @@ def build_basis(net: IncidenceNet, hs: SignMatrix, b: Label) -> ScaledBasis:
         rows = np.flatnonzero(net.vector(b, u))
         m[np.ix_(rows, np.arange(u * q, (u + 1) * q))] = hs.entries
     return ScaledBasis(d, b, m, q)
-
-
-def build_basis_family(net: IncidenceNet, hs: SignMatrix) -> list[ScaledBasis]:
-    return [build_basis(net, hs, b) for b in net.labels]
 
 
 # float32 represents every integer of magnitude up to 2^24 exactly.

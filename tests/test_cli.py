@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spark_forge.cli import InputError, main, read_dictionary, read_vector
 
@@ -334,3 +336,89 @@ def test_spark_rejects_budget_below_columns(capsys, monkeypatch):
     monkeypatch.setenv("SPARK_FORGE_BUDGET", "11")
     assert main(argv) == 2
     assert "budget 11 is below the 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["file", "flags"])
+@pytest.mark.parametrize("family,q", [("thm2", 4), ("thm2", 2), ("thm1", 4)])
+def test_vector_header_must_match_dictionary(tmp_path, capsys, source, family, q):
+    # the thm1 q=2 kernel vector, relabelled: same length, so only the header
+    # tells it apart
+    vec = tmp_path / "relabelled.csv"
+    relabelled = f"family={family}, q={q}"
+    vec.write_text(GOLDEN_Q2_VECTOR.replace("family=thm1, q=2", relabelled))
+    if source == "file":
+        dictionary = tmp_path / "dictionary.csv"
+        dictionary.write_text(GOLDEN_Q2_CSV)
+        inputs = [str(dictionary), str(vec)]
+    else:
+        inputs = [str(vec), "--family", "thm1", "--q", "2"]
+    for command in ("verify", "spark"):
+        assert main([command] + inputs) == 2
+        err = capsys.readouterr().err
+        assert f"error: vector header family={family}, q={q} does not match" in err
+
+
+@pytest.mark.parametrize("layout", [", layout=garbage", ""])
+def test_reader_rejects_bad_vector_layout(tmp_path, capsys, layout):
+    dictionary = tmp_path / "dictionary.csv"
+    dictionary.write_text(GOLDEN_Q2_CSV)
+    vec = tmp_path / "vector.csv"
+    vec.write_text(GOLDEN_Q2_VECTOR.replace(", layout=block-major", layout))
+    with pytest.raises(InputError, match="layout"):
+        read_vector(vec)
+    for command in ("verify", "spark"):
+        assert main([command, str(dictionary), str(vec)]) == 2
+        assert "layout" in capsys.readouterr().err
+
+
+def test_zero_coherence_dictionary_is_input_error(tmp_path, capsys):
+    # an all-zero matrix passes the readers; its coherence is 0, and the
+    # coherence bounds 1 + 1/mu would divide by it
+    zero = tmp_path / "zero.csv"
+    header = GOLDEN_Q2_CSV.splitlines()[0]
+    zero.write_text(header + "\n" + (",".join(["0"] * 12) + "\n") * 4)
+    vec = tmp_path / "vector.csv"
+    vec.write_text(GOLDEN_Q2_VECTOR)
+    for command in ("verify", "spark"):
+        assert main([command, str(zero), str(vec)]) == 2
+        assert "error: coherence is zero" in capsys.readouterr().err
+
+
+@st.composite
+def _spliced(draw, text):
+    """`text` with a short stretch replaced by random text."""
+    pos = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 8))
+    return (text[:pos] + draw(st.text(max_size=16)) + text[pos + cut :]).encode()
+
+
+def _fuzzed(text, max_size):
+    return st.one_of(
+        st.just(text.encode()), st.binary(max_size=max_size), _spliced(text)
+    )
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["verify", "spark", "render"]),
+    dictionary=_fuzzed(GOLDEN_Q2_CSV, 300),
+    vector=_fuzzed(GOLDEN_Q2_VECTOR, 100),
+)
+def test_fuzzed_inputs_end_in_an_exit_code(tmp_path, command, dictionary, vector):
+    dict_path, vec_path = tmp_path / "dictionary.csv", tmp_path / "vector.csv"
+    dict_path.write_bytes(dictionary)
+    vec_path.write_bytes(vector)
+    for reader, path in ((read_dictionary, dict_path), (read_vector, vec_path)):
+        try:
+            reader(path)
+        except InputError:
+            pass
+    argv = [command, str(dict_path), str(vec_path)]
+    if command == "render":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main(argv) in (0, 1, 2)

@@ -86,6 +86,14 @@ def test_thm2_q4_dimensions(gf4):
     assert d.matrix.shape == (256, 1280)
     y = build_null_vector_thm2(gf4)
     assert len(y.support) == 20  # q^2 + q
+    # block b: +1 at words (s | b^2, lift(b) = b); infinity: -1 at (s, 0)
+    assert y.support == (
+        (0, 1), (64, 1), (128, 1), (192, 1),
+        (273, 1), (337, 1), (401, 1), (465, 1),
+        (562, 1), (626, 1), (690, 1), (754, 1),
+        (803, 1), (867, 1), (931, 1), (995, 1),
+        (1024, -1), (1088, -1), (1152, -1), (1216, -1),
+    )
     assert not apply(d, y).any()
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from spark_forge import (
     FieldContext,
-    flip_upper_bits,
     flip_upper_bits_table,
     permuted_hadamard,
     sylvester,
@@ -45,6 +44,14 @@ def test_order_bounds():
         sylvester(17)
 
 
+def flip_upper_bits(word: int, m: int) -> int:
+    """Scalar oracle for flip_upper_bits_table: flip every bit above the
+    lowest set bit, keep the rest; 0 maps to 0."""
+    lsb = word & -word
+    mask = ((1 << m) - 1) & ~((lsb << 1) - 1)
+    return word ^ mask
+
+
 def test_flip_upper_bits_values():
     assert flip_upper_bits(0, 4) == 0
     assert flip_upper_bits(0b1, 1) == 0b1
@@ -52,6 +59,7 @@ def test_flip_upper_bits_values():
     assert flip_upper_bits(0b01, 2) == 0b11
     assert flip_upper_bits(0b11, 2) == 0b01
     assert flip_upper_bits(0b10, 2) == 0b10
+    assert flip_upper_bits_table(2).tolist() == [0b00, 0b11, 0b10, 0b01]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
@@ -59,8 +67,7 @@ def test_flip_upper_bits_is_a_bijection(m):
     table = flip_upper_bits_table(m)
     assert sorted(table) == list(range(1 << m))
     assert table[0] == 0
-    for w in (1, (1 << m) - 1):
-        assert table[w] == flip_upper_bits(w, m)
+    assert table.tolist() == [flip_upper_bits(w, m) for w in range(1 << m)]
 
 
 def test_permuted_order_two_is_unchanged():
@@ -110,8 +117,7 @@ def test_coset_antisymmetry_specific_entries(gf2):
     ext = gf2.extension()
     e = permuted_hadamard(2).entries
     # subfield rows are +1 on the lifted columns
-    lift0 = ext.coset_lift(gf2.zero).index
-    lift1 = ext.coset_lift(gf2.element(1)).index
+    lift0, lift1 = 0, 1  # lift(b) = b
     for i in ext.subfield_indices():
         assert e[i, lift0] == 1 and e[i, lift1] == 1
     # a row outside the subfield pairs to zero

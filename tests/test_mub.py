@@ -1,5 +1,5 @@
-"""Scaled bases: embeddings, the published order-4 family, and exact
-unbiasedness checks."""
+"""Scaled bases: sign columns spread along net vectors, the published
+order-4 family, and exact unbiasedness checks."""
 
 from fractions import Fraction
 
@@ -12,11 +12,9 @@ from spark_forge import (
     ScaledBasis,
     ScaledDictionary,
     build_basis,
-    build_basis_family,
     build_dictionary,
     build_net,
     coherence,
-    embed,
     permuted_hadamard,
     verify_mub,
 )
@@ -29,24 +27,20 @@ def q2_parts(gf2):
 
 
 def test_embed_published_columns(q2_parts):
+    # column u*q + v of basis b is column v of hs spread along net vector (b, u)
     net, hs = q2_parts
-    h0, h1 = hs.entries[:, 0], hs.entries[:, 1]
-    assert np.array_equal(embed(h1, net, INFINITY, 0), [1, -1, 0, 0])
-    assert np.array_equal(embed(h0, net, 1, 1), [0, 1, 1, 0])
+    assert np.array_equal(build_basis(net, hs, INFINITY).matrix[:, 1], [1, -1, 0, 0])
+    assert np.array_equal(build_basis(net, hs, 1).matrix[:, 2], [0, 1, 1, 0])
 
 
 def test_embed_all_ones_reproduces_incidence_vector(q2_parts):
-    net, _ = q2_parts
-    ones = np.ones(2, dtype=np.int8)
+    # column 0 of the permuted Hadamard matrix is all ones
+    net, hs = q2_parts
+    assert (hs.entries[:, 0] == 1).all()
     for b in net.labels:
+        m = build_basis(net, hs, b).matrix
         for j in range(2):
-            assert np.array_equal(embed(ones, net, b, j), net.vector(b, j))
-
-
-def test_embed_length_guard(q2_parts):
-    net, _ = q2_parts
-    with pytest.raises(ValueError):
-        embed(np.ones(3), net, 0, 0)
+            assert np.array_equal(m[:, j * 2], net.vector(b, j))
 
 
 def test_published_bases_q2(q2_parts):
@@ -91,10 +85,15 @@ def test_column_support_follows_incidence_vector(gf4):
                 assert np.array_equal((col != 0).astype(np.uint8), net.vector(b, u))
 
 
+def _bases(ctx):
+    net, hs = build_net(ctx), permuted_hadamard(ctx.m)
+    return [build_basis(net, hs, b) for b in net.labels]
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_family_is_mutually_unbiased(m):
     ctx = FieldContext(m)
-    bases = build_basis_family(build_net(ctx), permuted_hadamard(m))
+    bases = _bases(ctx)
     assert len(bases) == ctx.q + 1
     rep = verify_mub(bases)
     assert rep.passed, rep.summary()
@@ -105,14 +104,14 @@ def test_family_is_mutually_unbiased(m):
 
 
 def test_verify_mub_catches_a_sign_flip(gf2):
-    bases = build_basis_family(build_net(gf2), permuted_hadamard(1))
+    bases = _bases(gf2)
     bases[0].matrix[0, 0] *= -1
     rep = verify_mub(bases)
     assert not rep.passed
 
 
 def test_verify_mub_dimension_guard(gf2):
-    bases = build_basis_family(build_net(gf2), permuted_hadamard(1))
+    bases = _bases(gf2)
     odd = ScaledBasis(16, 0, np.eye(16, dtype=np.int8), 4)
     with pytest.raises(ValueError):
         verify_mub(bases + [odd])
