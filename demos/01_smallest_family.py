@@ -17,27 +17,26 @@ print(ctx.mul_table())
 
 print("\nLatin squares L^0, L^1:")
 for r in range(2):
-    print(sf.latin_square(ctx, r).table)
+    print(sf.latin_square(ctx, r))
 
-net = sf.build_net(ctx)
+built = sf.construct("thm1", 2)
+net, hs = built.net, built.signs
+labels = sf.block_labels(2)
 print("\nincidence vectors (one family per label):")
-for b in net.labels:
+for i, b in enumerate(labels):
     for j in range(2):
-        print(f"  m[{b},{j}] = {net.vector(b, j)}")
+        print(f"  m[{b},{j}] = {net[i, j]}")
 print("net conditions:", sf.verify_net(net).summary())
 
-hs = sf.permuted_hadamard(1)
 print("\nsign matrix of order 2 (the permutation fixes it):")
-print(hs.entries)
+print(hs)
 
 print("\nscaled bases (divide by sqrt(2) for the orthonormal bases):")
-for b in net.labels:
-    basis = sf.build_basis(net, hs, b)
+for b in labels:
     print(f"basis {b}:")
-    print(basis.matrix)
+    print(sf.build_basis(net, hs, b))
 
-d = sf.build_dictionary_thm1(ctx)
-x = sf.build_null_vector_thm1(ctx)
+d, x = built.dictionary, built.vector
 print("\nthe 4 x 12 dictionary (scaled by sqrt(2)):")
 print(d.matrix)
 print("\nkernel vector support:", x.support)

@@ -22,21 +22,21 @@ print("element squares (a bijection):", list(ctx.squares()))
 print("\nLatin squares L^r, r = 0..3:")
 for r in range(4):
     print(f"r = {r}:")
-    print(sf.latin_square(ctx, r).table)
+    print(sf.latin_square(ctx, r))
 print("orthogonality:", sf.verify_mols(
     [sf.latin_square(ctx, r) for r in range(4)]).summary())
 
 ct = sf.collision_table(ctx)
 print("\ncollision table (entries i*j + j^2):")
-print(ct.table)
+print(ct)
 print(sf.verify_collision_table(ct).summary())
 
 print("\nsign matrix of order 4 and its row-permuted form:")
-print(sf.sylvester(2).entries)
-print(sf.permuted_hadamard(2).entries)
+print(sf.sylvester(2))
+print(sf.permuted_hadamard(2))
 
-d = sf.build_dictionary_thm1(ctx)
-x = sf.build_null_vector_thm1(ctx)
+built = sf.construct("thm1", 4)
+d, x = built.dictionary, built.vector
 print("\ndictionary shape:", d.matrix.shape)
 print("kernel vector support:", x.support)
 print("residual:", sf.apply(d, x).max(), "(exactly zero)")

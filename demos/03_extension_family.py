@@ -18,13 +18,12 @@ for b in range(base.q):
     members = [f"{s | b:02b}" for s in ext.subfield_indices()]
     print(f"  base {b}: lift {b:02b}, coset {{{', '.join(members)}}}")
 
-hs = sf.permuted_hadamard(2)
+built = sf.construct("thm2", 2)
 print("\npermuted sign matrix of order 4:")
-print(hs.entries)
-print(sf.verify_coset_antisymmetry(ext, hs).summary())
+print(built.signs)
+print(sf.verify_coset_antisymmetry(built.field, built.signs).summary())
 
-d = sf.build_dictionary_thm2(base)
-y = sf.build_null_vector_thm2(base)
+d, y = built.dictionary, built.vector
 print("\ndictionary shape:", d.matrix.shape, "| scale_sq =", d.scale_sq)
 print("kernel vector support (6-sparse):", y.support)
 print("residual is zero:", not sf.apply(d, y).any())

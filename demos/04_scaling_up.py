@@ -15,8 +15,8 @@ print(f"{'family':8} {'q':>3} {'shape':>12} {'mu':>6} {'spark':>6} "
 for family, q in (("thm1", 2), ("thm1", 4), ("thm1", 8), ("thm1", 16),
                   ("thm2", 2), ("thm2", 4)):
     started = time.perf_counter()
-    d = sf.build_dictionary(family, q)
-    x = sf.build_null_vector(family, q)
+    built = sf.construct(family, q)
+    d, x = built.dictionary, built.vector
     cert = sf.spark_certify(d, x)
     elapsed = time.perf_counter() - started
     shape = f"{d.dimension}x{d.n_cols}"
@@ -24,11 +24,10 @@ for family, q in (("thm1", 2), ("thm1", 4), ("thm1", 8), ("thm1", 16),
           f"{cert.spark:>6} {str(cert.eta_mu):>7} {elapsed:>6.1f}s")
 
 print("\nstructural verifiers at the largest size (q = 16):")
-ctx = sf.FieldContext(4)
-d = sf.build_dictionary_thm1(ctx)
+built = sf.construct("thm1", 16)
 for rep in (
-    sf.verify_net(sf.build_net(ctx)),
-    sf.verify_row_antisymmetry(sf.permuted_hadamard(4)),
-    sf.verify_mub(d.blocks_as_bases()),
+    sf.verify_net(built.net),
+    sf.verify_row_antisymmetry(built.signs),
+    sf.verify_mub(built.dictionary.blocks_as_bases()),
 ):
     print(" ", rep.summary())

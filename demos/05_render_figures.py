@@ -13,8 +13,8 @@ out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 for family, q in (("thm1", 2), ("thm1", 4), ("thm2", 2)):
-    d = sf.build_dictionary(family, q)
-    x = sf.build_null_vector(family, q)
+    built = sf.construct(family, q)
+    d, x = built.dictionary, built.vector
     path = out_dir / f"figure_{family}_q{q}.svg"
     path.write_text(render_svg(d.matrix, x.dense()))
     print(f"wrote {path} ({d.dimension}x{d.n_cols} cells + vector strip)")

@@ -3,9 +3,7 @@ from mutually unbiased bases over GF(2^m)."""
 
 from .designs import (
     INFINITY,
-    CollisionTable,
-    IncidenceNet,
-    LatinSquare,
+    block_labels,
     build_net,
     collision_table,
     latin_square,
@@ -15,17 +13,15 @@ from .designs import (
 )
 from .dictionaries import (
     BruteForceResult,
+    Construction,
     ScaledDictionary,
     SparkCertificate,
     SparseVector,
     apply,
     build_dictionary,
-    build_dictionary_thm1,
-    build_dictionary_thm2,
     build_null_vector,
-    build_null_vector_thm1,
-    build_null_vector_thm2,
     coherence,
+    construct,
     exact_rank,
     spark_bruteforce,
     spark_certify,
@@ -33,7 +29,6 @@ from .dictionaries import (
 )
 from .gf import FieldContext
 from .hadamard import (
-    SignMatrix,
     flip_upper_bits_table,
     permuted_hadamard,
     sylvester,
@@ -48,27 +43,22 @@ __version__ = "0.1.0"
 __all__ = [
     "BruteForceResult",
     "CheckReport",
-    "CollisionTable",
+    "Construction",
     "FieldContext",
     "INFINITY",
-    "IncidenceNet",
-    "LatinSquare",
     "ScaledBasis",
     "ScaledDictionary",
-    "SignMatrix",
     "SparkCertificate",
     "SparseVector",
     "apply",
+    "block_labels",
     "build_basis",
     "build_dictionary",
-    "build_dictionary_thm1",
-    "build_dictionary_thm2",
     "build_net",
     "build_null_vector",
-    "build_null_vector_thm1",
-    "build_null_vector_thm2",
     "coherence",
     "collision_table",
+    "construct",
     "exact_rank",
     "flip_upper_bits_table",
     "latin_square",

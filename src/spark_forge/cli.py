@@ -31,20 +31,14 @@ import numpy as np
 
 from . import dictionaries as dct
 from .designs import (
-    INFINITY,
-    build_net,
+    block_labels,
     collision_table,
     latin_square,
     verify_collision_table,
     verify_mols,
     verify_net,
 )
-from .gf import FieldContext
-from .hadamard import (
-    permuted_hadamard,
-    verify_coset_antisymmetry,
-    verify_row_antisymmetry,
-)
+from .hadamard import verify_coset_antisymmetry, verify_row_antisymmetry
 from .mub import verify_mub
 from .report import CheckReport
 
@@ -86,15 +80,19 @@ def vector_csv(x: dct.SparseVector, q: int) -> str:
 
 
 def _parse_header(line: str, magic: str, fields: tuple[str, ...]) -> dict:
-    if not line.startswith(magic):
-        raise InputError(f"missing header {magic!r}")
+    # the comma ends the version: "v1" must not match "v17" or "v1beta"
+    if not line.startswith(magic + ","):
+        raise InputError(f"missing header {magic + ','!r}")
     meta = {}
     for part in line[len(magic) :].split(","):
         part = part.strip()
         if not part or "=" not in part:
             continue
         key, value = part.split("=", 1)
-        meta[key.strip()] = value.strip()
+        key = key.strip()
+        if key in meta:
+            raise InputError(f"repeated header field {key!r}")
+        meta[key] = value.strip()
     for f in fields:
         if f not in meta:
             raise InputError(f"header lacks field {f!r}")
@@ -142,11 +140,9 @@ def read_dictionary(path: str | Path, text: str | None = None) -> dct.ScaledDict
     if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise InputError(f"{path}: no matrix rows")
     try:
-        dct._require_family_q(family, q)
+        scale = dct.family_scale(family, q)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    # thm1 scales by q, thm2 by q^2; either way the dimension is scale^2
-    scale = q if family == "thm1" else q * q
     shape = (scale * scale, (q + 1) * scale * scale)
     if scale_sq != scale or matrix.shape != shape:
         raise InputError(
@@ -154,8 +150,7 @@ def read_dictionary(path: str | Path, text: str | None = None) -> dct.ScaledDict
             f"not fit a {matrix.shape[0]}x{matrix.shape[1]} matrix; expected "
             f"scale_sq={scale} and {shape[0]}x{shape[1]}"
         )
-    labels = tuple(range(q)) + (INFINITY,)
-    return dct.ScaledDictionary(family, q, shape[0], scale_sq, matrix, labels)
+    return dct.ScaledDictionary(family, q, shape[0], scale_sq, matrix, block_labels(q))
 
 
 def read_vector(
@@ -212,29 +207,23 @@ def dictionary_json(d: dct.ScaledDictionary, x: dct.SparseVector) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _machinery_context(family: str, q: int) -> FieldContext:
-    """Field over which nets, squares, and sign matrices live."""
-    base = FieldContext(q.bit_length() - 1)
-    return base if family == "thm1" else base.extension()
-
-
 def collect_reports(
     dictionary: dct.ScaledDictionary,
     vector: dct.SparseVector | None,
-    reference: dct.ScaledDictionary | None = None,
+    built: dct.Construction,
 ) -> list[CheckReport]:
-    """Every named structural verifier, applied to the given artifacts."""
-    ctx = _machinery_context(dictionary.family, dictionary.q)
-    reports = []
-
-    squares = [latin_square(ctx, r) for r in range(ctx.q)]
-    reports.append(verify_mols(squares))
-    reports.append(verify_collision_table(collision_table(ctx)))
-    reports.append(verify_net(build_net(ctx)))
-    hs = permuted_hadamard(ctx.m)
-    reports.append(verify_row_antisymmetry(hs))
-    if dictionary.family == "thm2":
-        reports.append(verify_coset_antisymmetry(ctx, hs))
+    """Every named structural verifier: the machinery checks on `built`, the
+    construction of the dictionary's family and q, and the dictionary and
+    vector checks on the given artifacts."""
+    field = built.field
+    reports = [
+        verify_mols([latin_square(field, r) for r in range(field.q)]),
+        verify_collision_table(collision_table(field)),
+        verify_net(built.net),
+        verify_row_antisymmetry(built.signs),
+    ]
+    if field.mode == "extension":
+        reports.append(verify_coset_antisymmetry(field, built.signs))
 
     support_rep = CheckReport("column-support")
     counts = (dictionary.matrix != 0).sum(axis=0)
@@ -259,14 +248,6 @@ def collect_reports(
             else "vector is zero",
         )
         reports.append(kernel_rep)
-
-    if reference is not None:
-        recon = CheckReport("matches-construction")
-        same = dictionary.matrix.shape == reference.matrix.shape and bool(
-            (dictionary.matrix == reference.matrix).all()
-        )
-        recon.require(same, "matrix differs from the deterministic construction")
-        reports.append(recon)
     return reports
 
 
@@ -395,10 +376,6 @@ def _artifact_paths(out_dir: str, family: str, q: int) -> dict[str, Path]:
     }
 
 
-def _build_pair(family: str, q: int):
-    return dct.build_dictionary(family, q), dct.build_null_vector(family, q)
-
-
 def _write(path: Path, text: str) -> None:
     path.write_text(text)
     print(f"wrote {path}")
@@ -410,26 +387,32 @@ def _write_csv_pair(paths, dictionary, vector) -> None:
     _write(paths["vector"], vector_csv(vector, dictionary.q))
 
 
-def _load_inputs(args) -> tuple[dct.ScaledDictionary, dct.SparseVector | None]:
-    """Resolve (dictionary, vector) from positional paths or --family/--q."""
+def _load_inputs(args) -> tuple:
+    """Resolve (dictionary, vector, construction) from positional paths or
+    --family/--q; the construction is None unless the flags built one."""
     paths = [Path(p) for p in getattr(args, "paths", []) or []]
-    dictionary = None
+    dictionary, built = None, None
     vector, vector_q = None, None
     for p in paths:
         text = _read_text(p)
         head = text.lstrip()
         if head.startswith(DICT_MAGIC):
+            if dictionary is not None:
+                raise InputError(f"{p}: more than one dictionary file given")
             dictionary = read_dictionary(p, text)
         elif head.startswith(VECTOR_MAGIC):
+            if vector is not None:
+                raise InputError(f"{p}: more than one vector file given")
             vector, vector_q = read_vector(p, text)
         else:
             raise InputError(f"{p}: not a spark-forge dictionary or vector file")
     if dictionary is None:
         if args.family is None or args.q is None:
             raise InputError("provide input paths or both --family and --q")
-        dictionary, built_vector = _build_pair(args.family, args.q)
+        built = dct.construct(args.family, args.q)
+        dictionary = built.dictionary
         if vector is None:
-            vector, vector_q = built_vector, dictionary.q
+            vector, vector_q = built.vector, dictionary.q
     if args.family is not None and dictionary.family != args.family:
         raise InputError(
             f"--family {args.family} does not match file family {dictionary.family}"
@@ -447,15 +430,16 @@ def _load_inputs(args) -> tuple[dct.ScaledDictionary, dct.SparseVector | None]:
                 f"vector length {vector.length} does not match dictionary "
                 f"columns {dictionary.n_cols}"
             )
-    return dictionary, vector
+    return dictionary, vector, built
 
 
 def _cmd_construct(args) -> int:
     started = time.perf_counter()
-    dictionary, vector = _build_pair(args.family, args.q)
+    built = dct.construct(args.family, args.q)
+    dictionary, vector = built.dictionary, built.vector
     paths = _artifact_paths(args.out_dir, args.family, args.q)
     _write_csv_pair(paths, dictionary, vector)
-    checks = collect_reports(dictionary, vector)
+    checks = collect_reports(dictionary, vector, built)
     certificate = dct.spark_certify(dictionary, vector)
     report = run_report(
         "construct", dictionary, vector, certificate, checks,
@@ -468,9 +452,16 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    dictionary, vector = _load_inputs(args)
-    reference, _ = _build_pair(dictionary.family, dictionary.q)
-    checks = collect_reports(dictionary, vector, reference)
+    dictionary, vector, built = _load_inputs(args)
+    if built is None:
+        built = dct.construct(dictionary.family, dictionary.q)
+    checks = collect_reports(dictionary, vector, built)
+    recon = CheckReport("matches-construction")
+    recon.require(
+        np.array_equal(dictionary.matrix, built.dictionary.matrix),
+        "matrix differs from the deterministic construction",
+    )
+    checks.append(recon)
     certificate = None
     kernel = next((rep for rep in checks if rep.name == "kernel-vector"), None)
     if kernel is not None and kernel.passed:
@@ -495,7 +486,7 @@ def _cmd_spark(args) -> int:
         raise InputError(f"--k-max must be at least 1, got {args.k_max}")
     if args.workers < 1:
         raise InputError(f"--workers must be at least 1, got {args.workers}")
-    dictionary, vector = _load_inputs(args)
+    dictionary, vector, _ = _load_inputs(args)
     if vector is None:
         raise InputError("spark certification needs the kernel vector")
     brute = None
@@ -542,7 +533,7 @@ def _cmd_spark(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    dictionary, vector = _load_inputs(args)
+    dictionary, vector, _ = _load_inputs(args)
     path = _artifact_paths(args.out_dir, dictionary.family, dictionary.q)["figure"]
     dense = vector.dense() if vector is not None else None
     _write(path, render_svg(dictionary.matrix, dense))
@@ -550,7 +541,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    dictionary, vector = _build_pair(args.family, args.q)
+    built = dct.construct(args.family, args.q)
+    dictionary, vector = built.dictionary, built.vector
     paths = _artifact_paths(args.out_dir, args.family, args.q)
     if args.format == "csv":
         _write_csv_pair(paths, dictionary, vector)
@@ -593,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=dct.DEFAULT_SUBSET_BUDGET)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_spark)
 

@@ -11,7 +11,6 @@ families meet in exactly one position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,87 +25,71 @@ INFINITY = "inf"
 Label = int | str
 
 
-@dataclass(frozen=True)
-class LatinSquare:
-    ctx: FieldContext
-    r: int
-    table: np.ndarray  # q x q element indices
-
-    @property
-    def order(self) -> int:
-        return self.ctx.q
+def block_labels(q: int) -> tuple[Label, ...]:
+    """The q+1 block labels in block order: 0, ..., q-1, then infinity."""
+    return tuple(range(q)) + (INFINITY,)
 
 
-def latin_square(ctx: FieldContext, r: int) -> LatinSquare:
-    """The square with entry (i, j) = i*r + j over GF(q)."""
+def latin_square(ctx: FieldContext, r: int) -> np.ndarray:
+    """The q x q square with entry (i, j) = i*r + j over GF(q)."""
     q = ctx.q
     if not 0 <= r < q:
         raise ValueError(f"label {r} out of range for GF({q})")
     col = ctx.mul_table()[:, r].astype(np.int32)
-    table = col[:, None] ^ np.arange(q, dtype=np.int32)[None, :]
-    return LatinSquare(ctx, r, table)
+    return col[:, None] ^ np.arange(q, dtype=np.int32)[None, :]
 
 
-def verify_mols(squares: Sequence[LatinSquare]) -> CheckReport:
+def verify_mols(squares: Sequence[np.ndarray]) -> CheckReport:
     """Check row injectivity of each square, the unique-meeting-row property
-    of every pair, and pairwise orthogonality of the nonzero-label squares."""
+    of every pair, and pairwise orthogonality of the nonzero-label squares.
+    The label of squares[r] is r."""
     rep = CheckReport("latin-squares")
     if not squares:
         return rep
-    q = squares[0].order
+    q = len(squares[0])
     identity = np.arange(q, dtype=np.int32)
 
-    for sq in squares:
-        if sq.order != q:
+    for r, sq in enumerate(squares):
+        if sq.shape != (q, q):
             raise ValueError("squares have mixed orders")
-        ok = bool((np.sort(sq.table, axis=1) == identity[None, :]).all())
-        rep.require(ok, f"square r={sq.r}: some row is not injective")
-        if sq.r != 0:
-            ok_cols = bool((np.sort(sq.table, axis=0) == identity[:, None]).all())
-            rep.require(ok_cols, f"square r={sq.r}: some column is not a permutation")
+        ok = bool((np.sort(sq, axis=1) == identity[None, :]).all())
+        rep.require(ok, f"square r={r}: some row is not injective")
+        if r != 0:
+            ok_cols = bool((np.sort(sq, axis=0) == identity[:, None]).all())
+            rep.require(ok_cols, f"square r={r}: some column is not a permutation")
 
     for a in range(len(squares)):
         for b in range(a + 1, len(squares)):
             sa, sb = squares[a], squares[b]
             # exactly one meeting row for every column pair
-            meets = (sa.table[:, :, None] == sb.table[:, None, :]).sum(axis=0)
+            meets = (sa[:, :, None] == sb[:, None, :]).sum(axis=0)
             ok = bool((meets == 1).all())
             if not ok:
                 j1, j2 = np.argwhere(meets != 1)[0]
                 rep.fail(
-                    f"pair (r={sa.r}, r={sb.r}): columns ({j1}, {j2}) meet "
+                    f"pair (r={a}, r={b}): columns ({j1}, {j2}) meet "
                     f"{int(meets[j1, j2])} times"
                 )
             rep.count()
-            if sa.r != 0 and sb.r != 0:
-                pairs = sa.table.astype(np.int64) * q + sb.table
+            if a != 0:
+                pairs = sa.astype(np.int64) * q + sb
                 ok = len(np.unique(pairs)) == q * q
-                rep.require(ok, f"squares r={sa.r}, r={sb.r} are not orthogonal")
+                rep.require(ok, f"squares r={a}, r={b} are not orthogonal")
     return rep
 
 
-@dataclass(frozen=True)
-class CollisionTable:
+def collision_table(ctx: FieldContext) -> np.ndarray:
     """q x q table t[i, j] = i*j + j^2 over GF(q).
 
     Row 0 is a permutation of the field, and within any other row i two
     distinct columns j1, j2 hold equal entries exactly when j1 + j2 = i.
     """
-
-    ctx: FieldContext
-    table: np.ndarray
+    return (ctx.mul_table() ^ ctx.squares()[None, :]).astype(np.int32)
 
 
-def collision_table(ctx: FieldContext) -> CollisionTable:
-    mt = ctx.mul_table()
-    table = (mt ^ ctx.squares()[None, :]).astype(np.int32)
-    return CollisionTable(ctx, table)
-
-
-def verify_collision_table(ct: CollisionTable) -> CheckReport:
+def verify_collision_table(t: np.ndarray) -> CheckReport:
     rep = CheckReport("collision-table")
-    q = ct.ctx.q
-    t = ct.table
+    q = len(t)
     rep.require(
         bool((np.sort(t[0]) == np.arange(q)).all()),
         "row 0 is not a permutation of the field",
@@ -126,54 +109,29 @@ def verify_collision_table(ct: CollisionTable) -> CheckReport:
     return rep
 
 
-@dataclass(frozen=True)
-class IncidenceNet:
-    """(q+1) families of q incidence vectors on q^2 points.
-
-    vectors[bi, j] is the 0/1 vector of family bi (bi == q encodes the
-    infinity label) and index j.
-    """
-
-    ctx: FieldContext
-    q: int
-    vectors: np.ndarray  # (q+1, q, q^2) uint8
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(range(self.q)) + (INFINITY,)
-
-    def family_index(self, b: Label) -> int:
-        if b == INFINITY:
-            return self.q
-        if isinstance(b, int) and 0 <= b < self.q:
-            return b
-        raise ValueError(f"unknown block label {b!r}")
-
-    def vector(self, b: Label, j: int) -> np.ndarray:
-        return self.vectors[self.family_index(b), j]
-
-
-def build_net(ctx: FieldContext) -> IncidenceNet:
-    """All q+1 vector families: family b < q places one 1 per block at the
-    position given by Latin square b; the infinity family fills block j."""
+def build_net(ctx: FieldContext) -> np.ndarray:
+    """(q+1) families of q incidence vectors on q^2 points, as a (q+1, q,
+    q^2) uint8 array: [b, j] is the 0/1 vector of label b, index j, and
+    family q is the infinity label.  Family b < q places one 1 per block at
+    the position given by Latin square b; the infinity family fills block j."""
     q = ctx.q
     vectors = np.zeros((q + 1, q, q * q), dtype=np.uint8)
     blocks = np.arange(q, dtype=np.int32) * q
     for b in range(q):
-        lb = latin_square(ctx, b).table
+        lb = latin_square(ctx, b)
         for j in range(q):
             vectors[b, j, blocks + lb[:, j]] = 1
     for j in range(q):
         vectors[q, j, j * q : (j + 1) * q] = 1
-    return IncidenceNet(ctx, q, vectors)
+    return vectors
 
 
-def verify_net(net: IncidenceNet) -> CheckReport:
+def verify_net(net: np.ndarray) -> CheckReport:
     """Exhaustive inner-product check of both net conditions: disjointness
     within a family, single meeting point across families."""
     rep = CheckReport("net-incidence")
-    q = net.q
-    flat = net.vectors.reshape((q + 1) * q, q * q).astype(np.int64)
+    q = net.shape[1]
+    flat = net.reshape((q + 1) * q, q * q).astype(np.int64)
     ones = flat.sum(axis=1)
     rep.count()
     if (ones != q).any():
@@ -183,7 +141,7 @@ def verify_net(net: IncidenceNet) -> CheckReport:
     n = (q + 1) * q
     family = np.arange(n) // q
     want = (family[:, None] != family[None, :]).astype(np.int64)
-    labels = net.labels
+    labels = block_labels(q)
     rep.count(n * (n - 1) // 2)
     # np.nonzero walks the upper triangle row by row: pairs (a, b) in order
     for a, b in zip(*np.nonzero(np.triu(gram != want, k=1))):

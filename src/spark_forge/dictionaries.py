@@ -24,20 +24,18 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .designs import INFINITY, Label, build_net
+from .designs import INFINITY, Label, block_labels, build_net
 from .gf import FieldContext
 from .hadamard import permuted_hadamard
 from .mub import ScaledBasis, build_basis, gram_strips
 
 DEFAULT_SUBSET_BUDGET = 10**8
-BUDGET_ENV_VAR = "SPARK_FORGE_BUDGET"
 
 FAMILY_Q = {"thm1": (2, 4, 8, 16), "thm2": (2, 4)}
 
@@ -61,13 +59,10 @@ class ScaledDictionary:
     def n_blocks(self) -> int:
         return len(self.block_labels)
 
-    def block(self, i: int) -> np.ndarray:
-        d = self.dimension
-        return self.matrix[:, i * d : (i + 1) * d]
-
     def blocks_as_bases(self) -> list[ScaledBasis]:
+        d = self.dimension
         return [
-            ScaledBasis(self.dimension, label, self.block(i), self.scale_sq)
+            ScaledBasis(d, label, self.matrix[:, i * d : (i + 1) * d], self.scale_sq)
             for i, label in enumerate(self.block_labels)
         ]
 
@@ -87,7 +82,10 @@ class SparseVector:
         return out
 
 
-def _require_family_q(family: str, q: int):
+def family_scale(family: str, q: int) -> int:
+    """scale_sq of a supported family and q: the order of the field its
+    machinery runs over, q for thm1 and q^2 for thm2.  The dictionary has
+    scale_sq^2 rows.  Raises ValueError for an unsupported family or q."""
     allowed = FAMILY_Q.get(family)
     if allowed is None:
         raise ValueError(f"unknown family {family!r}; expected thm1 or thm2")
@@ -95,75 +93,60 @@ def _require_family_q(family: str, q: int):
         raise ValueError("q must be a power of two")
     if q not in allowed:
         raise ValueError(f"family {family} supports q in {set(allowed)}, got {q}")
+    return q if family == "thm1" else q * q
 
 
-def build_dictionary_thm1(ctx: FieldContext) -> ScaledDictionary:
-    """q+1 scaled bases of dimension q^2, blocks ordered 0..q-1 then inf."""
-    if ctx.mode != "base":
-        raise ValueError("family thm1 is built over a base field")
-    _require_family_q("thm1", ctx.q)
-    net = build_net(ctx)
-    hs = permuted_hadamard(ctx.m)
-    matrix = np.hstack([build_basis(net, hs, b).matrix for b in net.labels])
-    return ScaledDictionary("thm1", ctx.q, ctx.q**2, ctx.q, matrix, net.labels)
+@dataclass(frozen=True)
+class Construction:
+    """One family realised: the field the machinery runs over (GF(q) for
+    thm1, its quadratic extension GF(q^2) for thm2), the incidence net and
+    permuted sign matrix built over it, the dictionary, and its kernel
+    vector."""
+
+    field: FieldContext
+    net: np.ndarray
+    signs: np.ndarray
+    dictionary: ScaledDictionary
+    vector: SparseVector
 
 
-def build_null_vector_thm1(ctx: FieldContext) -> SparseVector:
-    """The (q+1)-sparse kernel vector: +1 in block b at column (b^2, b),
-    -1 in the infinity block at column (0, 0)."""
-    q, d = ctx.q, ctx.q**2
-    sq = ctx.squares()
-    support = [(b * d + int(sq[b]) * q + b, 1) for b in range(q)]
-    support.append((q * d, -1))
-    return SparseVector(d * (q + 1), tuple(support), "thm1")
-
-
-def build_dictionary_thm2(ctx: FieldContext) -> ScaledDictionary:
-    """q+1 scaled bases of dimension q^4 built over GF(q^2), keeping only
-    the blocks labeled by the embedded subfield plus infinity."""
-    if ctx.mode != "base":
-        raise ValueError("family thm2 is built over a base field")
-    _require_family_q("thm2", ctx.q)
-    ext = ctx.extension()
-    net = build_net(ext)
-    hs = permuted_hadamard(ext.m)
-    kept = list(ext.subfield_indices()) + [INFINITY]
-    matrix = np.hstack([build_basis(net, hs, c).matrix for c in kept])
-    labels = tuple(range(ctx.q)) + (INFINITY,)
-    return ScaledDictionary("thm2", ctx.q, ext.q**2, ext.q, matrix, labels)
-
-
-def build_null_vector_thm2(ctx: FieldContext) -> SparseVector:
-    """The (q^2+q)-sparse kernel vector: block b holds +1 at columns (j,
-    lift(b)) for every j in the coset of lift(b^2); the infinity block holds
-    -1 at columns (s, 0) for every embedded subfield element s.  In words
-    (see `gf`), lift(b) = b and that coset is {s | b^2 : s in the subfield}."""
-    _require_family_q("thm2", ctx.q)
-    ext = ctx.extension()
-    bq, eq = ctx.q, ext.q
-    d = eq * eq
-    sq = ctx.squares()
-    sub = ext.subfield_indices()
+def construct(family: str, q: int) -> Construction:
+    """Build a family once.  thm1 runs the machinery over GF(q) and keeps
+    every block; thm2 runs it over GF(q^2) and keeps the blocks labeled by
+    the embedded subfield.  Both add the infinity block and scale by the
+    machinery field's order.  The kernel vector has +1 in block b at columns
+    (s | b^2, b) and -1 in the infinity block at columns (s, 0), for every s
+    in a subfield: the embedded copy of GF(q) for thm2, so block b covers the
+    coset of lift(b^2) (see `gf`), and {0} for thm1.
+    """
+    scale = family_scale(family, q)
+    base = FieldContext(q.bit_length() - 1)
+    if family == "thm1":
+        field, kept, sub = base, list(range(q)), [0]
+    else:
+        field = base.extension()
+        kept = sub = field.subfield_indices()
+    net = build_net(field)
+    signs = permuted_hadamard(field.m)
+    matrix = np.hstack([build_basis(net, signs, b) for b in kept + [INFINITY]])
+    d = scale * scale
+    sq = base.squares()
     support = [
-        (b * d + (s | int(sq[b])) * eq + b, 1) for b in range(bq) for s in sub
+        (b * d + (s | int(sq[b])) * scale + b, 1) for b in range(q) for s in sub
     ]
-    support += [(bq * d + s * eq, -1) for s in sub]
+    support += [(q * d + s * scale, -1) for s in sub]
     support.sort()
-    return SparseVector(d * (bq + 1), tuple(support), "thm2")
+    dictionary = ScaledDictionary(family, q, d, scale, matrix, block_labels(q))
+    vector = SparseVector(d * (q + 1), tuple(support), family)
+    return Construction(field, net, signs, dictionary, vector)
 
 
 def build_dictionary(family: str, q: int) -> ScaledDictionary:
-    _require_family_q(family, q)
-    ctx = FieldContext(q.bit_length() - 1)
-    builder = build_dictionary_thm1 if family == "thm1" else build_dictionary_thm2
-    return builder(ctx)
+    return construct(family, q).dictionary
 
 
 def build_null_vector(family: str, q: int) -> SparseVector:
-    _require_family_q(family, q)
-    ctx = FieldContext(q.bit_length() - 1)
-    builder = build_null_vector_thm1 if family == "thm1" else build_null_vector_thm2
-    return builder(ctx)
+    return construct(family, q).vector
 
 
 def apply(dictionary: ScaledDictionary, x: SparseVector | np.ndarray) -> np.ndarray:
@@ -336,15 +319,6 @@ def _run_level(m64, k, workers, pool, bound):
     return result
 
 
-def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SUBSET_BUDGET
-
-
 def _check_minor_bound(matrix, k):
     """Refuse a search to size k whose int64 elimination could overflow.
 
@@ -369,7 +343,7 @@ def spark_bruteforce(
     dictionary: ScaledDictionary,
     k_max: int,
     workers: int = 1,
-    budget: int | None = None,
+    budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> BruteForceResult:
     """Smallest dependent column subset of size <= k_max, if any.
 
@@ -381,7 +355,6 @@ def spark_bruteforce(
     elimination could overflow at the planned depth, and RuntimeError if a
     witness fails its exact rank re-check.
     """
-    budget = resolve_budget(budget)
     n = dictionary.n_cols
     if budget < n:
         raise ValueError(
@@ -480,10 +453,6 @@ class SparkCertificate:
     brute_force: BruteForceResult | None
     eta_mu: Fraction | None
     general_bound_relation: str | None
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return (self.lower_bound, self.upper_bound)
 
     def verdict(self) -> str:
         if self.spark is not None:

@@ -9,20 +9,12 @@ translated by i (j -> j XOR i), for every i != 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gf import FieldContext
 from .report import CheckReport
 
 MAX_ORDER_EXP = 16
-
-
-@dataclass(frozen=True)
-class SignMatrix:
-    order: int
-    entries: np.ndarray  # order x order, int8, values +-1
 
 
 def _parity(v: np.ndarray) -> np.ndarray:
@@ -34,7 +26,7 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def sylvester(m: int) -> SignMatrix:
+def sylvester(m: int) -> np.ndarray:
     """m-fold tensor power of [[1, 1], [1, -1]], as a dense int8 matrix."""
     if not 1 <= m <= MAX_ORDER_EXP:
         raise ValueError(f"m must be in 1..{MAX_ORDER_EXP}, got {m}")
@@ -47,7 +39,7 @@ def sylvester(m: int) -> SignMatrix:
         entries[lo:hi] = (1 - 2 * _parity(idx[lo:hi, None] & idx[None, :])).astype(
             np.int8
         )
-    return SignMatrix(q, entries)
+    return entries
 
 
 def flip_upper_bits_table(m: int) -> np.ndarray:
@@ -61,18 +53,16 @@ def flip_upper_bits_table(m: int) -> np.ndarray:
     return w ^ mask
 
 
-def permuted_hadamard(m: int) -> SignMatrix:
+def permuted_hadamard(m: int) -> np.ndarray:
     """Sylvester matrix with row w replaced by row flip_upper_bits_table(m)[w]."""
-    h = sylvester(m)
-    return SignMatrix(h.order, h.entries[flip_upper_bits_table(m)])
+    return sylvester(m)[flip_upper_bits_table(m)]
 
 
-def verify_row_antisymmetry(sm: SignMatrix) -> CheckReport:
+def verify_row_antisymmetry(e: np.ndarray) -> CheckReport:
     """Row 0 and column 0 all ones; row i negates under column translation
     by i (field addition of bit words is XOR, so this is basis independent)."""
     rep = CheckReport("hadamard-antisymmetry")
-    e = sm.entries
-    q = sm.order
+    q = len(e)
     rep.require(bool((e[0] == 1).all()), "row 0 is not all ones")
     rep.require(bool((e[:, 0] == 1).all()), "column 0 is not all ones")
     cols = np.arange(q)
@@ -85,7 +75,7 @@ def verify_row_antisymmetry(sm: SignMatrix) -> CheckReport:
     return rep
 
 
-def verify_coset_antisymmetry(ext: FieldContext, sm: SignMatrix) -> CheckReport:
+def verify_coset_antisymmetry(ext: FieldContext, e: np.ndarray) -> CheckReport:
     """For the permuted matrix of extension order q^2: rows indexed by the
     embedded subfield are +1 on every lifted column, and any other row i
     pairs to zero between the lifts of b and of (i & low_mask) ^ b.  The
@@ -93,9 +83,8 @@ def verify_coset_antisymmetry(ext: FieldContext, sm: SignMatrix) -> CheckReport:
     rep = CheckReport("coset-antisymmetry")
     if ext.mode != "extension":
         raise ValueError("verify_coset_antisymmetry needs an extension context")
-    if sm.order != ext.q:
-        raise ValueError(f"matrix order {sm.order} does not match GF({ext.q})")
-    e = sm.entries
+    if len(e) != ext.q:
+        raise ValueError(f"matrix order {len(e)} does not match GF({ext.q})")
     lifts = range(ext.base.q)
     for i in range(ext.q):
         star = i & ext.low_mask

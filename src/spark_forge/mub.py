@@ -21,8 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .designs import IncidenceNet, Label
-from .hadamard import SignMatrix
+from .designs import INFINITY, Label, block_labels
 from .report import CheckReport
 
 
@@ -34,18 +33,22 @@ class ScaledBasis:
     scale_sq: int
 
 
-def build_basis(net: IncidenceNet, hs: SignMatrix, b: Label) -> ScaledBasis:
-    """Scaled basis for label b: column u*q + v is column v of hs embedded
-    along net vector (b, u)."""
-    q = net.q
-    if hs.order != q:
-        raise ValueError(f"sign matrix order {hs.order} does not match net order {q}")
+def build_basis(net: np.ndarray, hs: np.ndarray, b: Label) -> np.ndarray:
+    """The q^2 x q^2 scaled basis (scale_sq q) for label b of the net from
+    `designs.build_net`: column u*q + v is column v of the sign matrix hs
+    embedded along net vector (b, u)."""
+    q = net.shape[1]
+    if len(hs) != q:
+        raise ValueError(f"sign matrix order {len(hs)} does not match net order {q}")
+    if b not in block_labels(q):
+        raise ValueError(f"unknown block label {b!r}")
+    family = net[q if b == INFINITY else b]
     d = q * q
     m = np.zeros((d, d), dtype=np.int8)
     for u in range(q):
-        rows = np.flatnonzero(net.vector(b, u))
-        m[np.ix_(rows, np.arange(u * q, (u + 1) * q))] = hs.entries
-    return ScaledBasis(d, b, m, q)
+        rows = np.flatnonzero(family[u])
+        m[np.ix_(rows, np.arange(u * q, (u + 1) * q))] = hs
+    return m
 
 
 # float32 represents every integer of magnitude up to 2^24 exactly.

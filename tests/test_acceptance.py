@@ -33,9 +33,8 @@ Q2_MATRIX = np.array(
 
 def test_criterion_1_smallest_family_exact():
     started = time.perf_counter()
-    ctx = sf.FieldContext(1)
-    d = sf.build_dictionary_thm1(ctx)
-    x = sf.build_null_vector_thm1(ctx)
+    built = sf.construct("thm1", 2)
+    d, x = built.dictionary, built.vector
 
     assert np.array_equal(d.matrix, Q2_MATRIX)
     assert np.array_equal(x.dense(), [1, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0])
@@ -71,23 +70,24 @@ def test_criterion_2_sixteen_dimensional_family():
         3: [[0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2], [2, 3, 0, 1]],
     }
     for r, expected in squares.items():
-        assert np.array_equal(sf.latin_square(ctx, r).table, expected)
+        assert np.array_equal(sf.latin_square(ctx, r), expected)
 
     assert np.array_equal(
-        sf.collision_table(ctx).table,
+        sf.collision_table(ctx),
         [[0, 1, 3, 2], [0, 0, 1, 1], [0, 3, 0, 3], [0, 2, 2, 0]],
     )
     assert np.array_equal(
-        sf.sylvester(2).entries,
+        sf.sylvester(2),
         [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
     )
     assert np.array_equal(
-        sf.permuted_hadamard(2).entries,
+        sf.permuted_hadamard(2),
         [[1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]],
     )
 
-    d = sf.build_dictionary_thm1(ctx)
-    x = sf.build_null_vector_thm1(ctx)
+    built = sf.construct("thm1", 4)
+    d, x = built.dictionary, built.vector
+    assert np.array_equal(built.signs, sf.permuted_hadamard(2))
     assert sf.coherence(d) == Fraction(1, 4)
     assert len(x.support) == 5
     assert not sf.apply(d, x).any()
@@ -133,16 +133,17 @@ def test_criterion_3_extension_family_q2():
 
     hs = sf.permuted_hadamard(2)
     assert np.array_equal(
-        sf.sylvester(2).entries,
+        sf.sylvester(2),
         [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
     )
     assert np.array_equal(
-        hs.entries, [[1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]]
+        hs, [[1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]]
     )
     assert sf.verify_coset_antisymmetry(ext, hs).passed
 
-    d = sf.build_dictionary_thm2(base)
-    y = sf.build_null_vector_thm2(base)
+    built = sf.construct("thm2", 2)
+    d, y = built.dictionary, built.vector
+    assert np.array_equal(built.signs, hs)
     assert d.matrix.shape == (16, 48)
     assert sf.coherence(d) == Fraction(1, 4)
     assert len(y.support) == 6
@@ -167,12 +168,12 @@ def test_criterion_4_base_family_at_scale():
     details = []
     for m, dims in ((3, (64, 576)), (4, (256, 4352))):
         ctx = sf.FieldContext(m)
-        d = sf.build_dictionary_thm1(ctx)
-        x = sf.build_null_vector_thm1(ctx)
+        built = sf.construct("thm1", ctx.q)
+        d, x = built.dictionary, built.vector
         assert d.matrix.shape == dims
 
-        assert sf.verify_net(sf.build_net(ctx)).passed
-        assert sf.verify_row_antisymmetry(sf.permuted_hadamard(m)).passed
+        assert sf.verify_net(built.net).passed
+        assert sf.verify_row_antisymmetry(built.signs).passed
         assert sf.verify_mub(d.blocks_as_bases()).passed
         assert not sf.apply(d, x).any()
 
@@ -189,9 +190,8 @@ def test_criterion_4_base_family_at_scale():
 
 def test_criterion_5_extension_family_q4():
     started = time.perf_counter()
-    base = sf.FieldContext(2)
-    d = sf.build_dictionary_thm2(base)
-    y = sf.build_null_vector_thm2(base)
+    built = sf.construct("thm2", 4)
+    d, y = built.dictionary, built.vector
     assert d.matrix.shape == (256, 1280)
     assert len(y.support) == 20
     assert not sf.apply(d, y).any()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spark_forge import cli, designs, dictionaries, hadamard, mub
 from spark_forge.cli import InputError, main, read_dictionary, read_vector
 
 GOLDEN_Q2_CSV = """\
@@ -328,14 +329,12 @@ def test_reader_rejects_repeated_vector_index(tmp_path, capsys):
     assert "repeated support index" in capsys.readouterr().err
 
 
-def test_spark_rejects_budget_below_columns(capsys, monkeypatch):
+def test_spark_rejects_budget_below_columns(capsys):
     argv = ["spark", "--family", "thm1", "--q", "2", "--brute-force",
             "--k-max", "3", "--workers", "1"]
-    assert main(argv + ["--budget", "-5"]) == 2
-    assert "budget -5 is below the 12" in capsys.readouterr().err
-    monkeypatch.setenv("SPARK_FORGE_BUDGET", "11")
-    assert main(argv) == 2
-    assert "budget 11 is below the 12" in capsys.readouterr().err
+    for budget in ("-5", "11"):
+        assert main(argv + ["--budget", budget]) == 2
+        assert f"budget {budget} is below the 12" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["file", "flags"])
@@ -422,3 +421,81 @@ def test_fuzzed_inputs_end_in_an_exit_code(tmp_path, command, dictionary, vector
     if command == "render":
         argv += ["--out-dir", str(tmp_path)]
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "dictionary_header,vector_header",
+    [
+        # a later or pre-release version must not pass for v1
+        (("v1,", "v17,"), ("v1,", "v1beta,")),
+        # a repeated field would let the second value win unseen
+        (("q=2,", "q=4, q=2,"), ("q=2,", "q=2, q=4,")),
+    ],
+    ids=["version", "repeated-field"],
+)
+def test_reader_rejects_bad_header(tmp_path, capsys, dictionary_header, vector_header):
+    dictionary = tmp_path / "dictionary.csv"
+    dictionary.write_text(GOLDEN_Q2_CSV.replace(*dictionary_header, 1))
+    vec = tmp_path / "vector.csv"
+    vec.write_text(GOLDEN_Q2_VECTOR.replace(*vector_header, 1))
+    good_dictionary = tmp_path / "good_dictionary.csv"
+    good_dictionary.write_text(GOLDEN_Q2_CSV)
+    good_vec = tmp_path / "good_vector.csv"
+    good_vec.write_text(GOLDEN_Q2_VECTOR)
+    with pytest.raises(InputError):
+        read_dictionary(dictionary)
+    with pytest.raises(InputError):
+        read_vector(vec)
+    for inputs in ([dictionary, good_vec], [good_dictionary, vec]):
+        for command in ("verify", "spark"):
+            assert main([command] + [str(p) for p in inputs]) == 2
+            assert "error:" in capsys.readouterr().err
+
+
+def test_one_input_file_of_each_kind(tmp_path, capsys):
+    for q in (2, 4):
+        main(["construct", "--family", "thm1", "--q", str(q),
+              "--out-dir", str(tmp_path / f"q{q}")])
+    capsys.readouterr()
+    q2, q4 = tmp_path / "q2", tmp_path / "q4"
+    dictionary, vector = "dictionary_thm1_q2.csv", "vector_thm1_q2.csv"
+    for extra in (q4 / "dictionary_thm1_q4.csv", q2 / vector):
+        for command in ("verify", "spark"):
+            argv = [command, str(extra), str(q2 / dictionary), str(q2 / vector)]
+            assert main(argv) == 2
+            assert "more than one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "thm1", "--q", "16"],
+        ["verify", "FILES"],
+        ["verify", "--family", "thm1", "--q", "16"],
+        ["spark", "--family", "thm2", "--q", "2"],
+        ["export", "--family", "thm2", "--q", "4", "--format", "json"],
+    ],
+    ids=["construct", "verify-files", "verify-flags", "spark-flags", "export"],
+)
+def test_each_command_builds_its_family_once(tmp_path, monkeypatch, argv):
+    if argv == ["verify", "FILES"]:
+        main(["construct", "--family", "thm2", "--q", "2", "--out-dir", str(tmp_path)])
+        argv = ["verify", str(tmp_path / "dictionary_thm2_q2.csv"),
+                str(tmp_path / "vector_thm2_q2.csv")]
+    calls = dict.fromkeys(("construct", "build_net", "permuted_hadamard"), 0)
+    modules = (cli, designs, dictionaries, hadamard, mub)
+    for name in calls:
+        fn = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        # every module binding the function, as `from x import f` copies it
+        for m in modules:
+            if getattr(m, name, None) is fn:
+                monkeypatch.setattr(m, name, counted)
+    if argv[0] != "verify":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert calls == {"construct": 1, "build_net": 1, "permuted_hadamard": 1}

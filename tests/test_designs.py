@@ -7,9 +7,12 @@ import pytest
 from spark_forge import (
     FieldContext,
     INFINITY,
+    block_labels,
+    build_basis,
     build_net,
     collision_table,
     latin_square,
+    permuted_hadamard,
     verify_collision_table,
     verify_mols,
     verify_net,
@@ -17,15 +20,15 @@ from spark_forge import (
 
 
 def test_latin_square_small_published(gf2, gf4):
-    assert np.array_equal(latin_square(gf2, 1).table, [[0, 1], [1, 0]])
+    assert np.array_equal(latin_square(gf2, 1), [[0, 1], [1, 0]])
     l2 = latin_square(gf4, 2)
     assert np.array_equal(
-        l2.table, [[0, 1, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]]
+        l2, [[0, 1, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]]
     )
 
 
 def test_latin_square_label_zero_rows(gf16):
-    table = latin_square(gf16, 0).table
+    table = latin_square(gf16, 0)
     assert np.array_equal(table, np.tile(np.arange(16), (16, 1)))
 
 
@@ -49,26 +52,27 @@ def test_mols_pair_and_single(gf2):
 
 
 def test_mols_detects_a_broken_square(gf4):
-    square = latin_square(gf4, 1)
-    square.table[0, 0] = square.table[0, 1]
-    rep = verify_mols([square, latin_square(gf4, 2)])
+    squares = [latin_square(gf4, r) for r in range(4)]
+    squares[1][0, 0] = squares[1][0, 1]
+    rep = verify_mols(squares)
     assert not rep.passed
+    assert rep.failures[0] == "square r=1: some row is not injective"
 
 
 def test_collision_table_published(gf2, gf4):
-    assert np.array_equal(collision_table(gf2).table, [[0, 1], [0, 0]])
+    assert np.array_equal(collision_table(gf2), [[0, 1], [0, 0]])
     assert np.array_equal(
-        collision_table(gf4).table,
+        collision_table(gf4),
         [[0, 1, 3, 2], [0, 0, 1, 1], [0, 3, 0, 3], [0, 2, 2, 0]],
     )
 
 
 def test_collision_table_matches_latin_square_columns(gf8):
     # second construction path: entry (i, j) is square j at row i, column j^2
-    ct = collision_table(gf8).table
+    ct = collision_table(gf8)
     sq = gf8.squares()
     for j in range(8):
-        lj = latin_square(gf8, j).table
+        lj = latin_square(gf8, j)
         assert np.array_equal(ct[:, j], lj[:, sq[j]])
 
 
@@ -79,36 +83,36 @@ def test_collision_law(m):
     rep = verify_collision_table(ct)
     assert rep.passed, rep.summary()
     # row 0 entries are pairwise distinct (no i = j1 + j2 with j1 != j2 here)
-    assert len(set(ct.table[0])) == ctx.q
+    assert len(set(ct[0])) == ctx.q
 
 
 def test_collision_examples(gf2, gf4):
-    t2, t4 = collision_table(gf2).table, collision_table(gf4).table
+    t2, t4 = collision_table(gf2), collision_table(gf4)
     assert t2[1, 0] == t2[1, 1] and (0 ^ 1) == 1
     assert t4[1, 0] == t4[1, 1] and (0 ^ 1) == 1
 
 
 def test_net_vectors_published(gf2):
-    net = build_net(gf2)
-    assert np.array_equal(net.vector(0, 0), [1, 0, 1, 0])
-    assert np.array_equal(net.vector(0, 1), [0, 1, 0, 1])
-    assert np.array_equal(net.vector(1, 0), [1, 0, 0, 1])
-    assert np.array_equal(net.vector(1, 1), [0, 1, 1, 0])
-    assert np.array_equal(net.vector(INFINITY, 0), [1, 1, 0, 0])
-    assert np.array_equal(net.vector(INFINITY, 1), [0, 0, 1, 1])
-    assert net.labels == (0, 1, INFINITY)
+    net = build_net(gf2)  # family 2 is the infinity label
+    assert np.array_equal(net[0, 0], [1, 0, 1, 0])
+    assert np.array_equal(net[0, 1], [0, 1, 0, 1])
+    assert np.array_equal(net[1, 0], [1, 0, 0, 1])
+    assert np.array_equal(net[1, 1], [0, 1, 1, 0])
+    assert np.array_equal(net[2, 0], [1, 1, 0, 0])
+    assert np.array_equal(net[2, 1], [0, 0, 1, 1])
+    assert block_labels(2) == (0, 1, INFINITY)
 
 
 def test_net_cross_family_meets_once(gf2):
     net = build_net(gf2)
-    assert int(net.vector(0, 0) @ net.vector(INFINITY, 0)) == 1
+    assert int(net[0, 0] @ net[2, 0]) == 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_net_conditions(m):
     ctx = FieldContext(m)
     net = build_net(ctx)
-    assert (net.vectors.sum(axis=2) == ctx.q).all()  # q ones per vector
+    assert (net.sum(axis=2) == ctx.q).all()  # q ones per vector
     rep = verify_net(net)
     assert rep.passed, rep.summary()
 
@@ -116,20 +120,20 @@ def test_net_conditions(m):
 def test_net_extension_order(gf2):
     # the machinery also runs over extension fields
     net = build_net(gf2.extension())
-    assert net.vectors.shape == (5, 4, 16)
+    assert net.shape == (5, 4, 16)
     assert verify_net(net).passed
 
 
 def test_net_bad_label(gf2):
     net = build_net(gf2)
     with pytest.raises(ValueError):
-        net.vector(5, 0)
+        build_basis(net, permuted_hadamard(1), 5)
 
 
 def test_verify_net_reports_a_flipped_bit(gf2):
     net = build_net(gf2)
-    net.vectors[0, 0, 0] = 0
-    net.vectors[0, 0, 1] = 1
+    net[0, 0, 0] = 0
+    net[0, 0, 1] = 1
     rep = verify_net(net)
     assert not rep.passed
     assert rep.failures
@@ -137,8 +141,8 @@ def test_verify_net_reports_a_flipped_bit(gf2):
 
 def test_verify_net_exact_report_on_a_tampered_vector(gf4):
     net = build_net(gf4)
-    net.vectors[1, 2] = 0
-    net.vectors[1, 2, 0] = 1
+    net[1, 2] = 0
+    net[1, 2, 0] = 1
     rep = verify_net(net)
     assert rep.checks == 1 + 20 * 19 // 2
     assert rep.failures == [
@@ -161,8 +165,8 @@ def test_verify_net_exact_report_on_a_tampered_vector(gf4):
 
 def test_verify_net_keeps_pair_order_past_the_failure_cap(gf8):
     net = build_net(gf8)
-    net.vectors[2, 5] = 0
-    net.vectors[2, 5, 0] = 1
+    net[2, 5] = 0
+    net[2, 5, 0] = 1
     rep = verify_net(net)
     assert rep.checks == 1 + 72 * 71 // 2
     assert rep.summary() == (

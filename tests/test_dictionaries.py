@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from spark_forge import (
-    FieldContext,
     INFINITY,
     apply,
     build_dictionary,
-    build_dictionary_thm1,
-    build_dictionary_thm2,
     build_null_vector,
-    build_null_vector_thm1,
-    build_null_vector_thm2,
     coherence,
+    construct,
 )
 
 # the 4 x 12 scaled dictionary for q=2, as published
@@ -27,15 +23,15 @@ Q2_MATRIX = [
 ]
 
 
-def test_q2_dictionary_golden(gf2):
-    d = build_dictionary_thm1(gf2)
+def test_q2_dictionary_golden():
+    d = build_dictionary("thm1", 2)
     assert np.array_equal(d.matrix, Q2_MATRIX)
     assert d.dimension == 4 and d.n_cols == 12 and d.scale_sq == 2
     assert d.block_labels == (0, 1, INFINITY)
 
 
-def test_q2_null_vector(gf2):
-    x = build_null_vector_thm1(gf2)
+def test_q2_null_vector():
+    x = build_null_vector("thm1", 2)
     assert x.support == ((0, 1), (7, 1), (8, -1))
     dense = x.dense()
     assert np.array_equal(dense[:4], [1, 0, 0, 0])
@@ -43,48 +39,48 @@ def test_q2_null_vector(gf2):
     assert np.array_equal(dense[8:], [-1, 0, 0, 0])
 
 
-def test_q4_null_vector_uses_field_squares(gf4):
+def test_q4_null_vector_uses_field_squares():
     # block 2 puts its entry at (2^2, 2) = (3, 2), block 3 at (2, 3)
-    x = build_null_vector_thm1(gf4)
+    x = build_null_vector("thm1", 4)
     assert x.support == ((0, 1), (21, 1), (46, 1), (59, 1), (64, -1))
     assert all(v in (-1, 1) for _, v in x.support)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_thm1_kernel_and_coherence(m):
-    ctx = FieldContext(m)
-    d = build_dictionary_thm1(ctx)
-    x = build_null_vector_thm1(ctx)
-    assert d.matrix.shape == (ctx.q**2, ctx.q**2 * (ctx.q + 1))
-    assert len(x.support) == ctx.q + 1
+    q = 2**m
+    built = construct("thm1", q)
+    d, x = built.dictionary, built.vector
+    assert d.matrix.shape == (q**2, q**2 * (q + 1))
+    assert len(x.support) == q + 1
     assert not apply(d, x).any()
-    assert coherence(d) == Fraction(1, ctx.q)
+    assert coherence(d) == Fraction(1, q)
 
 
-def test_thm1_column_support(gf4):
-    d = build_dictionary_thm1(gf4)
+def test_thm1_column_support():
+    d = build_dictionary("thm1", 4)
     assert ((d.matrix != 0).sum(axis=0) == d.scale_sq).all()
 
 
-def test_thm2_q2_dictionary(gf2):
-    d = build_dictionary_thm2(gf2)
+def test_thm2_q2_dictionary():
+    d = build_dictionary("thm2", 2)
     assert d.matrix.shape == (16, 48)
     assert d.scale_sq == 4 and d.q == 2
     assert ((d.matrix != 0).sum(axis=0) == 4).all()
     assert coherence(d) == Fraction(1, 4)
 
 
-def test_thm2_q2_null_vector(gf2):
-    y = build_null_vector_thm2(gf2)
+def test_thm2_q2_null_vector():
+    built = construct("thm2", 2)
+    d, y = built.dictionary, built.vector
     assert y.support == ((0, 1), (8, 1), (21, 1), (29, 1), (32, -1), (40, -1))
-    d = build_dictionary_thm2(gf2)
     assert not apply(d, y).any()
 
 
-def test_thm2_q4_dimensions(gf4):
-    d = build_dictionary_thm2(gf4)
+def test_thm2_q4_dimensions():
+    built = construct("thm2", 4)
+    d, y = built.dictionary, built.vector
     assert d.matrix.shape == (256, 1280)
-    y = build_null_vector_thm2(gf4)
     assert len(y.support) == 20  # q^2 + q
     # block b: +1 at words (s | b^2, lift(b) = b); infinity: -1 at (s, 0)
     assert y.support == (
@@ -102,9 +98,14 @@ def test_thm2_blocks_match_kept_extension_bases(gf2):
 
     ext = gf2.extension()
     net, hs = build_net(ext), permuted_hadamard(2)
-    d = build_dictionary_thm2(gf2)
+    built = construct("thm2", 2)
+    assert built.field.q == 4 and built.field.mode == "extension"
+    assert np.array_equal(built.net, net) and np.array_equal(built.signs, hs)
+    d = built.dictionary
+    assert d.block_labels == (0, 1, INFINITY)
+    blocks = d.blocks_as_bases()
     for i, label in enumerate(ext.subfield_indices() + [INFINITY]):
-        assert np.array_equal(d.block(i), build_basis(net, hs, label).matrix)
+        assert np.array_equal(blocks[i].matrix, build_basis(net, hs, label))
 
 
 def test_build_dispatch():
@@ -113,7 +114,7 @@ def test_build_dispatch():
     assert d.matrix.shape == (16, 80) and len(x.support) == 5
 
 
-def test_parameter_validation(gf2):
+def test_parameter_validation():
     with pytest.raises(ValueError, match="power of two"):
         build_dictionary("thm1", 3)
     with pytest.raises(ValueError, match="supports q in"):
@@ -122,27 +123,25 @@ def test_parameter_validation(gf2):
         build_dictionary("thm2", 8)
     with pytest.raises(ValueError, match="unknown family"):
         build_dictionary("thm3", 2)
-    with pytest.raises(ValueError, match="base field"):
-        build_dictionary_thm1(gf2.extension())
-    with pytest.raises(ValueError, match="base field"):
-        build_dictionary_thm2(gf2.extension())
+    with pytest.raises(ValueError, match="unknown family"):
+        build_null_vector("thm3", 2)
 
 
-def test_apply_guards(gf2):
-    d = build_dictionary_thm1(gf2)
-    x4 = build_null_vector_thm1(FieldContext(2))
+def test_apply_guards():
+    d = build_dictionary("thm1", 2)
+    x4 = build_null_vector("thm1", 4)
     with pytest.raises(ValueError):
         apply(d, x4)
     with pytest.raises(ValueError):
         apply(d, np.zeros(5))
 
 
-def test_apply_dense_matches_sparse(gf2):
-    d = build_dictionary_thm1(gf2)
-    x = build_null_vector_thm1(gf2)
+def test_apply_dense_matches_sparse():
+    built = construct("thm1", 2)
+    d, x = built.dictionary, built.vector
     assert np.array_equal(apply(d, x), apply(d, x.dense()))
 
 
-def test_apply_zero_vector(gf2):
-    d = build_dictionary_thm1(gf2)
+def test_apply_zero_vector():
+    d = build_dictionary("thm1", 2)
     assert not apply(d, np.zeros(12, dtype=int)).any()

@@ -11,6 +11,7 @@ from spark_forge import (
     INFINITY,
     ScaledBasis,
     ScaledDictionary,
+    block_labels,
     build_basis,
     build_dictionary,
     build_net,
@@ -29,18 +30,18 @@ def q2_parts(gf2):
 def test_embed_published_columns(q2_parts):
     # column u*q + v of basis b is column v of hs spread along net vector (b, u)
     net, hs = q2_parts
-    assert np.array_equal(build_basis(net, hs, INFINITY).matrix[:, 1], [1, -1, 0, 0])
-    assert np.array_equal(build_basis(net, hs, 1).matrix[:, 2], [0, 1, 1, 0])
+    assert np.array_equal(build_basis(net, hs, INFINITY)[:, 1], [1, -1, 0, 0])
+    assert np.array_equal(build_basis(net, hs, 1)[:, 2], [0, 1, 1, 0])
 
 
 def test_embed_all_ones_reproduces_incidence_vector(q2_parts):
     # column 0 of the permuted Hadamard matrix is all ones
     net, hs = q2_parts
-    assert (hs.entries[:, 0] == 1).all()
-    for b in net.labels:
-        m = build_basis(net, hs, b).matrix
+    assert (hs[:, 0] == 1).all()
+    for i, b in enumerate(block_labels(2)):
+        m = build_basis(net, hs, b)
         for j in range(2):
-            assert np.array_equal(m[:, j * 2], net.vector(b, j))
+            assert np.array_equal(m[:, j * 2], net[i, j])
 
 
 def test_published_bases_q2(q2_parts):
@@ -49,45 +50,48 @@ def test_published_bases_q2(q2_parts):
     b1 = build_basis(net, hs, 1)
     binf = build_basis(net, hs, INFINITY)
     assert np.array_equal(
-        b0.matrix, [[1, 1, 0, 0], [0, 0, 1, 1], [1, -1, 0, 0], [0, 0, 1, -1]]
+        b0, [[1, 1, 0, 0], [0, 0, 1, 1], [1, -1, 0, 0], [0, 0, 1, -1]]
     )
     assert np.array_equal(
-        b1.matrix, [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]]
+        b1, [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]]
     )
     assert np.array_equal(
-        binf.matrix, [[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]
+        binf, [[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]
     )
-    assert b0.scale_sq == 2 and b0.dimension == 4
+    assert b0.shape == (4, 4)
 
 
 def test_columns_are_scaled_orthonormal(q2_parts):
     net, hs = q2_parts
-    for b in net.labels:
-        m = build_basis(net, hs, b).matrix.astype(np.int64)
+    for b in block_labels(2):
+        m = build_basis(net, hs, b).astype(np.int64)
         assert np.array_equal(m.T @ m, 2 * np.eye(4, dtype=np.int64))
 
 
 def test_cross_basis_products_q2(q2_parts):
     net, hs = q2_parts
-    m0 = build_basis(net, hs, 0).matrix.astype(np.int64)
-    m1 = build_basis(net, hs, 1).matrix.astype(np.int64)
+    m0 = build_basis(net, hs, 0).astype(np.int64)
+    m1 = build_basis(net, hs, 1).astype(np.int64)
     assert int(m0[:, 0] @ m1[:, 0]) == 1
     assert int(m0[:, 0] @ m0[:, 1]) == 0
 
 
 def test_column_support_follows_incidence_vector(gf4):
     net, hs = build_net(gf4), permuted_hadamard(2)
-    for b in net.labels:
-        m = build_basis(net, hs, b).matrix
+    for i, b in enumerate(block_labels(4)):
+        m = build_basis(net, hs, b)
         for u in range(4):
             for v in range(4):
                 col = m[:, u * 4 + v]
-                assert np.array_equal((col != 0).astype(np.uint8), net.vector(b, u))
+                assert np.array_equal((col != 0).astype(np.uint8), net[i, u])
 
 
 def _bases(ctx):
     net, hs = build_net(ctx), permuted_hadamard(ctx.m)
-    return [build_basis(net, hs, b) for b in net.labels]
+    return [
+        ScaledBasis(ctx.q**2, b, build_basis(net, hs, b), ctx.q)
+        for b in block_labels(ctx.q)
+    ]
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -13,17 +13,14 @@ from spark_forge import (
     ScaledDictionary,
     SparseVector,
     apply,
-    build_dictionary_thm1,
-    build_dictionary_thm2,
-    build_null_vector_thm1,
-    build_null_vector_thm2,
+    build_dictionary,
+    construct,
     exact_rank,
     spark_bruteforce,
     spark_certify,
     uniqueness_threshold,
 )
 from spark_forge import dictionaries as dct
-from spark_forge.dictionaries import BUDGET_ENV_VAR
 
 
 def _oracle_rank(matrix) -> int:
@@ -54,8 +51,9 @@ def _as_dictionary(matrix):
 
 
 @pytest.fixture(scope="module")
-def q2_pair(gf2):
-    return build_dictionary_thm1(gf2), build_null_vector_thm1(gf2)
+def q2_pair():
+    built = construct("thm1", 2)
+    return built.dictionary, built.vector
 
 
 def test_exact_rank_against_oracle():
@@ -105,8 +103,8 @@ def test_bruteforce_duplicate_and_zero_columns():
     assert spark_bruteforce(zero, 2, workers=2) == res
 
 
-def test_bruteforce_thm2_clears_five_and_finds_six(gf2):
-    d = build_dictionary_thm2(gf2)
+def test_bruteforce_thm2_clears_five_and_finds_six():
+    d = build_dictionary("thm2", 2)
     res5 = spark_bruteforce(d, 5)
     assert res5.found_size is None and res5.k_checked == 5
 
@@ -120,8 +118,8 @@ def test_bruteforce_thm2_clears_five_and_finds_six(gf2):
         assert _oracle_first_dependent(d.matrix, k) is None
 
 
-def test_bruteforce_worker_invariance(gf4):
-    d = build_dictionary_thm1(gf4)
+def test_bruteforce_worker_invariance():
+    d = build_dictionary("thm1", 4)
     serial = spark_bruteforce(d, 4, workers=1)
     parallel = spark_bruteforce(d, 4, workers=2)
     assert serial == parallel
@@ -135,14 +133,8 @@ def test_bruteforce_budget_degrades_depth(q2_pair):
     assert res.k_checked == 2 and res.found_size is None
     assert res.planned_subsets == 78
     assert spark_bruteforce(d, 3, budget=100, workers=2) == res
-
-
-def test_bruteforce_budget_env_var(q2_pair, monkeypatch):
-    d, _ = q2_pair
-    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
-    assert spark_bruteforce(d, 3).k_checked == 2
-    monkeypatch.delenv(BUDGET_ENV_VAR)
-    assert spark_bruteforce(d, 3).k_checked == 3
+    default = spark_bruteforce(d, 3)
+    assert default.budget == dct.DEFAULT_SUBSET_BUDGET and default.k_checked == 3
 
 
 def test_certify_q2(q2_pair):
@@ -158,9 +150,9 @@ def test_certify_q2(q2_pair):
     assert uniqueness_threshold(cert) == 1
 
 
-def test_certify_q4_closes_without_search(gf4):
-    d = build_dictionary_thm1(gf4)
-    x = build_null_vector_thm1(gf4)
+def test_certify_q4_closes_without_search():
+    built = construct("thm1", 4)
+    d, x = built.dictionary, built.vector
     cert = spark_certify(d, x)
     assert cert.spark == 5 and cert.brute_force is None
     assert cert.eta_mu == Fraction(5, 4)
@@ -168,9 +160,9 @@ def test_certify_q4_closes_without_search(gf4):
     assert uniqueness_threshold(cert) == 2
 
 
-def test_certify_thm2_strict_gap(gf2):
-    d = build_dictionary_thm2(gf2)
-    y = build_null_vector_thm2(gf2)
+def test_certify_thm2_strict_gap():
+    built = construct("thm2", 2)
+    d, y = built.dictionary, built.vector
     cert = spark_certify(d, y)
     assert cert.spark == 6
     assert cert.general_bound == 5
@@ -189,7 +181,7 @@ def test_certify_interval_and_brute_tightening(q2_pair):
     assert not apply(d, loose).any()
     cert = spark_certify(d, loose)
     assert cert.spark is None
-    assert cert.interval == (3, 6)
+    assert (cert.lower_bound, cert.upper_bound) == (3, 6)
     assert "spark in [3, 6]" in cert.verdict()
     with pytest.raises(ValueError):
         uniqueness_threshold(cert)
@@ -310,14 +302,11 @@ def test_bruteforce_refuses_possible_int64_overflow(monkeypatch):
         spark_bruteforce(_as_dictionary(m), 30, budget=2**31)
 
 
-def test_bruteforce_rejects_budget_below_single_columns(q2_pair, monkeypatch):
+def test_bruteforce_rejects_budget_below_single_columns(q2_pair):
     d, _ = q2_pair
     for budget in (-5, 0, 11):
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match=f"budget {budget} "):
             spark_bruteforce(d, 3, budget=budget)
-    monkeypatch.setenv(BUDGET_ENV_VAR, "11")
-    with pytest.raises(ValueError, match="budget 11"):
-        spark_bruteforce(d, 3)
     assert spark_bruteforce(d, 3, budget=12).k_checked == 1
 
 
