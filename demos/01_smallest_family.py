@@ -45,7 +45,7 @@ print("dictionary @ vector =", sf.apply(d, x))
 brute = sf.spark_bruteforce(d, 3)
 print("\nsmallest dependent subset:", brute.witness, "(size", brute.found_size, ")")
 
-cert = sf.spark_certify(d, x, brute_force=brute)
+cert = sf.spark_certify(sf.gram_check(d), x, brute_force=brute)
 print("mutual coherence:", cert.coherence)
 print(cert.verdict())
 print("eta * mu =", cert.eta_mu)

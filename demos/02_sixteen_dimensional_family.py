@@ -49,6 +49,6 @@ print(f"\nbrute force over all subsets of size <= 4 "
       f"({brute.planned_subsets:,} planned, {workers} workers, {elapsed:.1f} s):")
 print("  dependent subset found:", brute.found_size)
 
-cert = sf.spark_certify(d, x, brute_force=brute)
+cert = sf.spark_certify(sf.gram_check(d), x, brute_force=brute)
 print(cert.verdict())
 print("coherence", cert.coherence, "| eta * mu =", cert.eta_mu)

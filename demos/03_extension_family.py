@@ -31,7 +31,7 @@ print("residual is zero:", not sf.apply(d, y).any())
 brute = sf.spark_bruteforce(d, 6, workers=2)
 print("\nsmallest dependent subset:", brute.witness, "(size", brute.found_size, ")")
 
-cert = sf.spark_certify(d, y, brute_force=brute)
+cert = sf.spark_certify(sf.gram_check(d), y, brute_force=brute)
 print(cert.verdict())
 print(f"general bound 1 + 1/mu = {cert.general_bound} "
       f"(strictly below the spark: the sharper union bound is tight here)")

@@ -17,7 +17,7 @@ for family, q in (("thm1", 2), ("thm1", 4), ("thm1", 8), ("thm1", 16),
     started = time.perf_counter()
     built = sf.construct(family, q)
     d, x = built.dictionary, built.vector
-    cert = sf.spark_certify(d, x)
+    cert = sf.spark_certify(sf.gram_check(d), x)
     elapsed = time.perf_counter() - started
     shape = f"{d.dimension}x{d.n_cols}"
     print(f"{family:8} {q:>3} {shape:>12} {str(cert.coherence):>6} "
@@ -28,6 +28,6 @@ built = sf.construct("thm1", 16)
 for rep in (
     sf.verify_net(built.net),
     sf.verify_row_antisymmetry(built.signs),
-    sf.verify_mub(built.dictionary.blocks_as_bases()),
+    sf.gram_check(built.dictionary).report,
 ):
     print(" ", rep.summary())

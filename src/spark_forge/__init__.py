@@ -14,15 +14,16 @@ from .designs import (
 from .dictionaries import (
     BruteForceResult,
     Construction,
+    GramCheck,
     ScaledDictionary,
     SparkCertificate,
     SparseVector,
     apply,
     build_dictionary,
     build_null_vector,
-    coherence,
     construct,
     exact_rank,
+    gram_check,
     spark_bruteforce,
     spark_certify,
     uniqueness_threshold,
@@ -35,7 +36,7 @@ from .hadamard import (
     verify_coset_antisymmetry,
     verify_row_antisymmetry,
 )
-from .mub import ScaledBasis, build_basis, verify_mub
+from .mub import build_basis
 from .report import CheckReport
 
 __version__ = "0.1.0"
@@ -45,8 +46,8 @@ __all__ = [
     "CheckReport",
     "Construction",
     "FieldContext",
+    "GramCheck",
     "INFINITY",
-    "ScaledBasis",
     "ScaledDictionary",
     "SparkCertificate",
     "SparseVector",
@@ -56,11 +57,11 @@ __all__ = [
     "build_dictionary",
     "build_net",
     "build_null_vector",
-    "coherence",
     "collision_table",
     "construct",
     "exact_rank",
     "flip_upper_bits_table",
+    "gram_check",
     "latin_square",
     "permuted_hadamard",
     "spark_bruteforce",
@@ -70,7 +71,6 @@ __all__ = [
     "verify_coset_antisymmetry",
     "verify_collision_table",
     "verify_mols",
-    "verify_mub",
     "verify_net",
     "verify_row_antisymmetry",
 ]

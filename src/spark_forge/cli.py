@@ -39,7 +39,6 @@ from .designs import (
     verify_net,
 )
 from .hadamard import verify_coset_antisymmetry, verify_row_antisymmetry
-from .mub import verify_mub
 from .report import CheckReport
 
 DICT_MAGIC = "# spark-forge dictionary v1"
@@ -211,10 +210,11 @@ def collect_reports(
     dictionary: dct.ScaledDictionary,
     vector: dct.SparseVector | None,
     built: dct.Construction,
-) -> list[CheckReport]:
+) -> tuple[list[CheckReport], dct.GramCheck]:
     """Every named structural verifier: the machinery checks on `built`, the
     construction of the dictionary's family and q, and the dictionary and
-    vector checks on the given artifacts."""
+    vector checks on the given artifacts.  Also returns the dictionary's
+    Gram pass, which the spark certificate takes."""
     field = built.field
     reports = [
         verify_mols([latin_square(field, r) for r in range(field.q)]),
@@ -236,7 +236,8 @@ def collect_reports(
         )
     reports.append(support_rep)
 
-    reports.append(verify_mub(dictionary.blocks_as_bases()))
+    gram = dct.gram_check(dictionary)
+    reports.append(gram.report)
 
     if vector is not None:
         kernel_rep = CheckReport("kernel-vector")
@@ -248,7 +249,7 @@ def collect_reports(
             else "vector is zero",
         )
         reports.append(kernel_rep)
-    return reports
+    return reports, gram
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +440,8 @@ def _cmd_construct(args) -> int:
     dictionary, vector = built.dictionary, built.vector
     paths = _artifact_paths(args.out_dir, args.family, args.q)
     _write_csv_pair(paths, dictionary, vector)
-    checks = collect_reports(dictionary, vector, built)
-    certificate = dct.spark_certify(dictionary, vector)
+    checks, gram = collect_reports(dictionary, vector, built)
+    certificate = dct.spark_certify(gram, vector)
     report = run_report(
         "construct", dictionary, vector, certificate, checks,
         time.perf_counter() - started,
@@ -455,7 +456,7 @@ def _cmd_verify(args) -> int:
     dictionary, vector, built = _load_inputs(args)
     if built is None:
         built = dct.construct(dictionary.family, dictionary.q)
-    checks = collect_reports(dictionary, vector, built)
+    checks, gram = collect_reports(dictionary, vector, built)
     recon = CheckReport("matches-construction")
     recon.require(
         np.array_equal(dictionary.matrix, built.dictionary.matrix),
@@ -464,8 +465,8 @@ def _cmd_verify(args) -> int:
     checks.append(recon)
     certificate = None
     kernel = next((rep for rep in checks if rep.name == "kernel-vector"), None)
-    if kernel is not None and kernel.passed:
-        certificate = dct.spark_certify(dictionary, vector)
+    if kernel is not None and kernel.passed and gram.orthonormal:
+        certificate = dct.spark_certify(gram, vector)
     for rep in checks:
         print(rep.summary())
     if certificate is not None:
@@ -494,7 +495,9 @@ def _cmd_spark(args) -> int:
         brute = dct.spark_bruteforce(
             dictionary, args.k_max, workers=args.workers, budget=args.budget
         )
-    certificate = dct.spark_certify(dictionary, vector, brute_force=brute)
+    certificate = dct.spark_certify(
+        dct.gram_check(dictionary), vector, brute_force=brute
+    )
     print(
         f"family={dictionary.family} q={dictionary.q} "
         f"dims={dictionary.dimension}x{dictionary.n_cols} "

@@ -14,10 +14,13 @@ Everything is exact: the matrix M with entries in {-1, 0, +1} stands for
 D = M / sqrt(scale_sq), spark search uses fraction-free (division-exact)
 Gaussian elimination in integers and settles the last two columns of each
 subset by comparing gcd-normalised integer columns, and coherence is a
-Fraction.  Coherence reads the block Gram strips of `mub.gram_strips`,
-float32 BLAS products that are exact because every entry and partial sum is
-an integer below 2^24 in magnitude (checked at run time, with an int64
-fallback).
+Fraction.  `gram_check` reads the block Gram strips of `mub.gram_strips`
+once and yields the orthonormality and unbiasedness checks together with
+the coherence; the strips are float32 BLAS products, exact because every
+entry and partial sum is an integer below 2^24 in magnitude (checked at run
+time, with an int64 fallback).  A spark certificate takes that pass, so the
+coherence bounds are applied only where their hypothesis, orthonormal
+blocks, was checked.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import numpy as np
 from .designs import INFINITY, Label, block_labels, build_net
 from .gf import FieldContext
 from .hadamard import permuted_hadamard
-from .mub import ScaledBasis, build_basis, gram_strips
+from .mub import build_basis, gram_strips
+from .report import CheckReport
 
 DEFAULT_SUBSET_BUDGET = 10**8
 
@@ -54,17 +58,6 @@ class ScaledDictionary:
     @property
     def n_cols(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_labels)
-
-    def blocks_as_bases(self) -> list[ScaledBasis]:
-        d = self.dimension
-        return [
-            ScaledBasis(d, label, self.matrix[:, i * d : (i + 1) * d], self.scale_sq)
-            for i, label in enumerate(self.block_labels)
-        ]
 
 
 @dataclass(frozen=True)
@@ -168,15 +161,57 @@ def apply(dictionary: ScaledDictionary, x: SparseVector | np.ndarray) -> np.ndar
     return dictionary.matrix.astype(np.int64) @ x.astype(np.int64)
 
 
-def coherence(dictionary: ScaledDictionary) -> Fraction:
-    """Largest |<column_i, column_j>| / scale_sq over distinct columns,
-    from the exact block Gram strips of the scaled matrix."""
-    d = dictionary.dimension
+@dataclass(frozen=True)
+class GramCheck:
+    """One pass over a dictionary's block Gram strips: the mub-family
+    report, whether every block is orthonormal (its scaled Gram matrix is
+    scale_sq * I), and the exact mutual coherence."""
+
+    dictionary: ScaledDictionary
+    report: CheckReport
+    orthonormal: bool
+    coherence: Fraction
+
+
+def gram_check(dictionary: ScaledDictionary) -> GramCheck:
+    """Exhaustive integer check of the blocks in one pass over the exact
+    block Gram strips: within a block the scaled Gram matrix is scale_sq *
+    I, across two blocks every entry is +1 or -1, and the coherence is the
+    largest |<column_i, column_j>| / scale_sq over distinct columns.  Raises
+    ValueError when the coherence is zero."""
+    d, labels = dictionary.dimension, dictionary.block_labels
+    rep = CheckReport("mub-family")
+    want_self = dictionary.scale_sq * np.eye(d, dtype=np.int64)
+    orthonormal = True
     largest = 0
-    for strip in gram_strips(dictionary.matrix, d):
+    for i, strip in enumerate(gram_strips(dictionary.matrix, d)):
+        bad = strip[:, :d] != want_self
+        if bad.any():
+            orthonormal = False
+            r, c = np.argwhere(bad)[0]
+            rep.fail(
+                f"basis {labels[i]}: columns ({r}, {c}) have product "
+                f"{int(strip[r, c])}"
+            )
+        rep.count(d * d)
+        # cross[:, t] is the product of block i with block i + 1 + t
+        later = strip.shape[1] // d - 1
+        cross = strip[:, d:].reshape(d, later, d)
+        bad = (cross != 1) & (cross != -1)
+        for t in np.flatnonzero(bad.any(axis=(0, 2))):
+            r, c = np.argwhere(bad[:, t])[0]
+            rep.fail(
+                f"bases ({labels[i]}, {labels[i + 1 + t]}): columns ({r}, {c}) "
+                f"have product {int(cross[r, t, c])}, want +-1"
+            )
+        rep.count(d * d * later)
         np.fill_diagonal(strip[:, :d], 0)
-        largest = max(largest, int(np.abs(strip).max()))
-    return Fraction(largest, dictionary.scale_sq)
+        largest = max(largest, int(strip.max()), -int(strip.min()))
+    if largest == 0:
+        # only zero columns can be dependent, and the bounds divide by mu
+        raise ValueError("coherence is zero: no coherence bound applies")
+    mu = Fraction(largest, dictionary.scale_sq)
+    return GramCheck(dictionary, rep, orthonormal, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +499,23 @@ class SparkCertificate:
 
 
 def spark_certify(
-    dictionary: ScaledDictionary,
+    gram: GramCheck,
     x: SparseVector,
     brute_force: BruteForceResult | None = None,
 ) -> SparkCertificate:
-    """Certify the spark from the coherence bounds, the kernel vector x, and
-    optionally a brute-force search result."""
+    """Certify the spark of the dictionary `gram` checked, from the
+    coherence bounds, the kernel vector x, and optionally a brute-force
+    search result.  Raises ValueError unless the blocks are orthonormal,
+    the hypothesis of the union bound (and, through unit-norm columns, of
+    the general one)."""
+    dictionary, mu = gram.dictionary, gram.coherence
     if not x.support:
         raise ValueError("kernel vector is zero")
     residual = apply(dictionary, x)
     if residual.any():
         raise ValueError("vector is not in the kernel of the dictionary")
-
-    mu = coherence(dictionary)
-    if mu == 0:
-        # only zero columns can be dependent, and the bounds divide by mu
-        raise ValueError("coherence is zero: no coherence bound applies")
+    if not gram.orthonormal:
+        raise ValueError("the blocks are not orthonormal: no coherence bound applies")
     general = 1 + 1 / mu
     union = (1 + Fraction(1, dictionary.q)) / mu
     upper = len(x.support)

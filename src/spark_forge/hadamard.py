@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldContext
+from .gf import MAX_DEGREE, FieldContext
 from .report import CheckReport
-
-MAX_ORDER_EXP = 16
 
 
 def _parity(v: np.ndarray) -> np.ndarray:
-    # XOR-fold; words here have at most MAX_ORDER_EXP bits
-    v = v ^ (v >> 8)
+    # XOR-fold; words here have at most MAX_DEGREE (8) bits
     v = v ^ (v >> 4)
     v = v ^ (v >> 2)
     v = v ^ (v >> 1)
@@ -28,25 +25,17 @@ def _parity(v: np.ndarray) -> np.ndarray:
 
 def sylvester(m: int) -> np.ndarray:
     """m-fold tensor power of [[1, 1], [1, -1]], as a dense int8 matrix."""
-    if not 1 <= m <= MAX_ORDER_EXP:
-        raise ValueError(f"m must be in 1..{MAX_ORDER_EXP}, got {m}")
-    q = 1 << m
-    idx = np.arange(q, dtype=np.int32)
-    entries = np.empty((q, q), dtype=np.int8)
-    step = max(1, (1 << 22) // q)  # bound the int32 intermediate
-    for lo in range(0, q, step):
-        hi = min(q, lo + step)
-        entries[lo:hi] = (1 - 2 * _parity(idx[lo:hi, None] & idx[None, :])).astype(
-            np.int8
-        )
-    return entries
+    if not 1 <= m <= MAX_DEGREE:
+        raise ValueError(f"m must be in 1..{MAX_DEGREE}, got {m}")
+    idx = np.arange(1 << m, dtype=np.int32)
+    return (1 - 2 * _parity(idx[:, None] & idx[None, :])).astype(np.int8)
 
 
 def flip_upper_bits_table(m: int) -> np.ndarray:
     """Bijection on m-bit words, as a table: flip every bit above the lowest
     set bit, keep the rest; 0 maps to 0."""
-    if not 1 <= m <= MAX_ORDER_EXP:
-        raise ValueError(f"m must be in 1..{MAX_ORDER_EXP}, got {m}")
+    if not 1 <= m <= MAX_DEGREE:
+        raise ValueError(f"m must be in 1..{MAX_DEGREE}, got {m}")
     w = np.arange(1 << m, dtype=np.int32)
     lsb = w & -w
     mask = ((1 << m) - 1) & ~((lsb << 1) - 1)

@@ -7,30 +7,21 @@ vector (b, u), so every column has exactly q nonzero entries and all
 verification reduces to integer inner products: q * identity inside one
 basis, plus or minus 1 across two bases.
 
-Those inner products come from `gram_strips`, the one block-Gram routine
-shared with the coherence computation.  It multiplies in float32 BLAS, which
-is exact while every Gram entry and partial sum stays below 2^24 in
+Those inner products come from `gram_strips`, the one block-Gram routine;
+`dictionaries.gram_check` reads its strips once for the orthonormality,
+unbiasedness and coherence checks together.  The strips are float32 BLAS
+products, exact while every Gram entry and partial sum stays below 2^24 in
 magnitude; the bound rows * max|entry|^2 is checked on the actual matrix
 before each pass, and int64 arithmetic is used when it fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .designs import INFINITY, Label, block_labels
-from .report import CheckReport
-
-
-@dataclass(frozen=True)
-class ScaledBasis:
-    dimension: int
-    label: Label
-    matrix: np.ndarray  # dimension x dimension, int8
-    scale_sq: int
 
 
 def build_basis(net: np.ndarray, hs: np.ndarray, b: Label) -> np.ndarray:
@@ -76,39 +67,3 @@ def gram_strips(matrix: np.ndarray, width: int) -> Iterator[np.ndarray]:
     m = matrix.astype(exact)
     for start in range(0, cols, width):
         yield m[:, start : start + width].T @ m[:, start:]
-
-
-def verify_mub(bases: Sequence[ScaledBasis]) -> CheckReport:
-    """Exhaustive integer check: within one basis the scaled Gram matrix is
-    scale_sq * I; across two bases every entry is +1 or -1."""
-    rep = CheckReport("mub-family")
-    if not bases:
-        return rep
-    d, s = bases[0].dimension, bases[0].scale_sq
-    for basis in bases:
-        if basis.dimension != d or basis.scale_sq != s:
-            raise ValueError("bases have mismatched dimension or scale")
-    matrix = np.hstack([basis.matrix for basis in bases])
-    want_self = s * np.eye(d, dtype=np.int64)
-    for i, strip in enumerate(gram_strips(matrix, d)):
-        bi = bases[i]
-        bad = strip[:, :d] != want_self
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            rep.fail(
-                f"basis {bi.label}: columns ({r}, {c}) have product "
-                f"{int(strip[r, c])}"
-            )
-        rep.count(d * d)
-        # cross[:, t] is the product of basis i with basis i + 1 + t
-        later = len(bases) - i - 1
-        cross = strip[:, d:].reshape(d, later, d)
-        bad = np.abs(cross) != 1
-        for t in np.flatnonzero(bad.any(axis=(0, 2))):
-            r, c = np.argwhere(bad[:, t])[0]
-            rep.fail(
-                f"bases ({bi.label}, {bases[i + 1 + t].label}): columns ({r}, {c}) "
-                f"have product {int(cross[r, t, c])}, want +-1"
-            )
-        rep.count(d * d * later)
-    return rep

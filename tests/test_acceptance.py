@@ -39,11 +39,12 @@ def test_criterion_1_smallest_family_exact():
     assert np.array_equal(d.matrix, Q2_MATRIX)
     assert np.array_equal(x.dense(), [1, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0])
     assert not sf.apply(d, x).any()
-    assert sf.coherence(d) == Fraction(1, 2)
+    gram = sf.gram_check(d)
+    assert gram.coherence == Fraction(1, 2)
 
     brute = sf.spark_bruteforce(d, 3)
     assert brute.found_size == 3
-    cert = sf.spark_certify(d, x, brute_force=brute)
+    cert = sf.spark_certify(gram, x, brute_force=brute)
     assert cert.spark == 3
     assert cert.eta_mu == Fraction(3, 2)
 
@@ -88,7 +89,8 @@ def test_criterion_2_sixteen_dimensional_family():
     built = sf.construct("thm1", 4)
     d, x = built.dictionary, built.vector
     assert np.array_equal(built.signs, sf.permuted_hadamard(2))
-    assert sf.coherence(d) == Fraction(1, 4)
+    gram = sf.gram_check(d)
+    assert gram.coherence == Fraction(1, 4)
     assert len(x.support) == 5
     assert not sf.apply(d, x).any()
 
@@ -105,7 +107,7 @@ def test_criterion_2_sixteen_dimensional_family():
     assert parallel_elapsed < 60.0
     assert parallel == brute
 
-    cert = sf.spark_certify(d, x, brute_force=brute)
+    cert = sf.spark_certify(gram, x, brute_force=brute)
     assert cert.spark == 5
     assert cert.eta_mu == Fraction(5, 4)
 
@@ -145,7 +147,8 @@ def test_criterion_3_extension_family_q2():
     d, y = built.dictionary, built.vector
     assert np.array_equal(built.signs, hs)
     assert d.matrix.shape == (16, 48)
-    assert sf.coherence(d) == Fraction(1, 4)
+    gram = sf.gram_check(d)
+    assert gram.coherence == Fraction(1, 4)
     assert len(y.support) == 6
     assert not sf.apply(d, y).any()
 
@@ -153,7 +156,7 @@ def test_criterion_3_extension_family_q2():
     brute = sf.spark_bruteforce(d, 5, workers=WORKERS)
     assert brute.found_size is None and brute.k_checked == 5
 
-    cert = sf.spark_certify(d, y, brute_force=brute)
+    cert = sf.spark_certify(gram, y, brute_force=brute)
     assert cert.spark == 6
     assert cert.general_bound == 5 and cert.general_bound_relation == ">"
     assert cert.eta_mu == Fraction(3, 2)
@@ -174,10 +177,11 @@ def test_criterion_4_base_family_at_scale():
 
         assert sf.verify_net(built.net).passed
         assert sf.verify_row_antisymmetry(built.signs).passed
-        assert sf.verify_mub(d.blocks_as_bases()).passed
+        gram = sf.gram_check(d)
+        assert gram.report.passed
         assert not sf.apply(d, x).any()
 
-        cert = sf.spark_certify(d, x)
+        cert = sf.spark_certify(gram, x)
         assert cert.coherence == Fraction(1, ctx.q)
         assert cert.spark == ctx.q + 1
         assert cert.brute_force is None
@@ -196,7 +200,7 @@ def test_criterion_5_extension_family_q4():
     assert len(y.support) == 20
     assert not sf.apply(d, y).any()
 
-    cert = sf.spark_certify(d, y)
+    cert = sf.spark_certify(sf.gram_check(d), y)
     assert cert.coherence == Fraction(1, 16)
     assert cert.spark == 20
     assert cert.union_bound == Fraction(5, 4) * 16

@@ -383,6 +383,33 @@ def test_zero_coherence_dictionary_is_input_error(tmp_path, capsys):
         assert "error: coherence is zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spark", "verify"])
+def test_no_certificate_unless_blocks_are_orthonormal(tmp_path, capsys, command):
+    # column 5 zeroed: block 1 is not orthonormal, so neither coherence bound
+    # applies, yet the kernel vector (columns 0, 7, 8) still passes
+    rows = [ln.split(",") for ln in GOLDEN_Q2_CSV.splitlines()[1:]]
+    for row in rows:
+        row[5] = "0"
+    dictionary = tmp_path / "dictionary.csv"
+    dictionary.write_text(
+        GOLDEN_Q2_CSV.splitlines()[0] + "\n"
+        + "".join(",".join(row) + "\n" for row in rows)
+    )
+    vec = tmp_path / "vector.csv"
+    vec.write_text(GOLDEN_Q2_VECTOR)
+    argv = [command, str(dictionary), str(vec)]
+    if command == "spark":
+        assert main(argv) == 2
+        assert "not orthonormal" in capsys.readouterr().err
+        return
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL mub-family" in out and "PASS kernel-vector" in out
+    assert "coherence =" not in out
+    report = json.loads((tmp_path / "report_thm1_q2.json").read_text())
+    assert report["spark"] is None and report["coherence"] is None
+
+
 @st.composite
 def _spliced(draw, text):
     """`text` with a short stretch replaced by random text."""
@@ -467,22 +494,25 @@ def test_one_input_file_of_each_kind(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "gram_passes"),
     [
-        ["construct", "--family", "thm1", "--q", "16"],
-        ["verify", "FILES"],
-        ["verify", "--family", "thm1", "--q", "16"],
-        ["spark", "--family", "thm2", "--q", "2"],
-        ["export", "--family", "thm2", "--q", "4", "--format", "json"],
+        (["construct", "--family", "thm1", "--q", "16"], 1),
+        (["verify", "FILES"], 1),
+        (["verify", "--family", "thm1", "--q", "16"], 1),
+        (["spark", "--family", "thm2", "--q", "2"], 1),
+        (["export", "--family", "thm2", "--q", "4", "--format", "json"], 0),
     ],
     ids=["construct", "verify-files", "verify-flags", "spark-flags", "export"],
 )
-def test_each_command_builds_its_family_once(tmp_path, monkeypatch, argv):
+def test_each_command_builds_its_family_once(
+    tmp_path, monkeypatch, argv, gram_passes
+):
     if argv == ["verify", "FILES"]:
         main(["construct", "--family", "thm2", "--q", "2", "--out-dir", str(tmp_path)])
         argv = ["verify", str(tmp_path / "dictionary_thm2_q2.csv"),
                 str(tmp_path / "vector_thm2_q2.csv")]
-    calls = dict.fromkeys(("construct", "build_net", "permuted_hadamard"), 0)
+    names = ("construct", "build_net", "permuted_hadamard", "gram_strips")
+    calls = dict.fromkeys(names, 0)
     modules = (cli, designs, dictionaries, hadamard, mub)
     for name in calls:
         fn = next(getattr(m, name) for m in modules if hasattr(m, name))
@@ -498,4 +528,5 @@ def test_each_command_builds_its_family_once(tmp_path, monkeypatch, argv):
     if argv[0] != "verify":
         argv = argv + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 0
-    assert calls == {"construct": 1, "build_net": 1, "permuted_hadamard": 1}
+    assert calls == {"construct": 1, "build_net": 1, "permuted_hadamard": 1,
+                     "gram_strips": gram_passes}

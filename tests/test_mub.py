@@ -9,15 +9,13 @@ import pytest
 from spark_forge import (
     FieldContext,
     INFINITY,
-    ScaledBasis,
     ScaledDictionary,
     block_labels,
     build_basis,
     build_dictionary,
     build_net,
-    coherence,
+    gram_check,
     permuted_hadamard,
-    verify_mub,
 )
 from spark_forge.mub import gram_strips
 
@@ -87,20 +85,22 @@ def test_column_support_follows_incidence_vector(gf4):
 
 
 def _bases(ctx):
+    """Every basis of the family over ctx, side by side."""
     net, hs = build_net(ctx), permuted_hadamard(ctx.m)
-    return [
-        ScaledBasis(ctx.q**2, b, build_basis(net, hs, b), ctx.q)
-        for b in block_labels(ctx.q)
-    ]
+    labels = block_labels(ctx.q)
+    matrix = np.hstack([build_basis(net, hs, b) for b in labels])
+    return ScaledDictionary("thm1", ctx.q, ctx.q**2, ctx.q, matrix, labels)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_family_is_mutually_unbiased(m):
     ctx = FieldContext(m)
     bases = _bases(ctx)
-    assert len(bases) == ctx.q + 1
-    rep = verify_mub(bases)
+    assert len(bases.block_labels) == ctx.q + 1
+    gram = gram_check(bases)
+    rep = gram.report
     assert rep.passed, rep.summary()
+    assert gram.orthonormal
     # one within-basis block plus one cross block per pair, d*d entries each
     d = ctx.q**2
     pairs = (ctx.q + 1) * ctx.q // 2
@@ -109,16 +109,31 @@ def test_family_is_mutually_unbiased(m):
 
 def test_verify_mub_catches_a_sign_flip(gf2):
     bases = _bases(gf2)
-    bases[0].matrix[0, 0] *= -1
-    rep = verify_mub(bases)
-    assert not rep.passed
+    bases.matrix[0, 0] *= -1
+    gram = gram_check(bases)
+    assert not gram.report.passed
+    assert not gram.orthonormal
 
 
 def test_verify_mub_dimension_guard(gf2):
+    # 11 columns do not split into blocks of the dimension 4
     bases = _bases(gf2)
-    odd = ScaledBasis(16, 0, np.eye(16, dtype=np.int8), 4)
+    odd = ScaledDictionary("thm1", 2, 4, 2, bases.matrix[:, :-1], bases.block_labels)
     with pytest.raises(ValueError):
-        verify_mub(bases + [odd])
+        gram_check(odd)
+
+
+def test_orthonormal_reads_only_the_blocks(gf2):
+    # block 1 replaced by a copy of block 0: each block is still orthonormal,
+    # but the pair is not unbiased and repeats columns, so mu = 1
+    bases = _bases(gf2)
+    bases.matrix[:, 4:8] = bases.matrix[:, :4]
+    gram = gram_check(bases)
+    assert gram.orthonormal
+    assert gram.report.failures == [
+        "bases (0, 1): columns (0, 0) have product 2, want +-1"
+    ]
+    assert gram.coherence == 1
 
 
 def test_build_basis_order_guard(gf2, gf4):
@@ -126,9 +141,9 @@ def test_build_basis_order_guard(gf2, gf4):
         build_basis(build_net(gf2), permuted_hadamard(2), 0)
 
 
-# Exact outputs of the two block-Gram consumers on tampered thm1 q=4
-# dictionaries: one failure message per block pair, reporting the first
-# offending (row, column) of that pair's product in row-major order.
+# Exact outputs of the block-Gram pass on tampered thm1 q=4 dictionaries: one
+# failure message per block pair, reporting the first offending (row, column)
+# of that pair's product in row-major order.
 
 
 def _tampered_q4(entries):
@@ -141,10 +156,11 @@ def _tampered_q4(entries):
 
 def test_verify_mub_and_coherence_on_one_flipped_sign():
     d = _tampered_q4({(0, 0): -1})
-    rep = verify_mub(d.blocks_as_bases())
+    gram = gram_check(d)
+    rep = gram.report
     assert rep.checks == 3840
     assert rep.failures == ["basis 0: columns (0, 1) have product -2"]
-    assert coherence(d) == Fraction(1, 2)
+    assert gram.coherence == Fraction(1, 2)
 
 
 def test_verify_mub_and_coherence_on_six_tampered_entries():
@@ -152,7 +168,8 @@ def test_verify_mub_and_coherence_on_six_tampered_entries():
     d = _tampered_q4(
         {(1, 0): 1, (15, 5): -1, (15, 21): -1, (15, 37): -1, (14, 53): -1, (15, 69): -1}
     )
-    rep = verify_mub(d.blocks_as_bases())
+    gram = gram_check(d)
+    rep = gram.report
     assert rep.checks == 3840
     assert rep.failures == [
         "basis 0: columns (0, 0) have product 5",
@@ -171,7 +188,7 @@ def test_verify_mub_and_coherence_on_six_tampered_entries():
         "bases (3, inf): columns (4, 5) have product 0, want +-1",
         "basis inf: columns (5, 5) have product 5",
     ]
-    assert coherence(d) == Fraction(3, 4)
+    assert gram.coherence == Fraction(3, 4)
 
 
 def _int64_strips(matrix, width):

@@ -16,6 +16,7 @@ from spark_forge import (
     build_dictionary,
     construct,
     exact_rank,
+    gram_check,
     spark_bruteforce,
     spark_certify,
     uniqueness_threshold,
@@ -140,7 +141,7 @@ def test_bruteforce_budget_degrades_depth(q2_pair):
 def test_certify_q2(q2_pair):
     d, x = q2_pair
     brute = spark_bruteforce(d, 3)
-    cert = spark_certify(d, x, brute_force=brute)
+    cert = spark_certify(gram_check(d), x, brute_force=brute)
     assert cert.spark == 3
     assert cert.coherence == Fraction(1, 2)
     assert cert.general_bound == 3 and cert.union_bound == 3
@@ -153,7 +154,7 @@ def test_certify_q2(q2_pair):
 def test_certify_q4_closes_without_search():
     built = construct("thm1", 4)
     d, x = built.dictionary, built.vector
-    cert = spark_certify(d, x)
+    cert = spark_certify(gram_check(d), x)
     assert cert.spark == 5 and cert.brute_force is None
     assert cert.eta_mu == Fraction(5, 4)
     assert cert.certified_by == "coherence bound + kernel vector"
@@ -163,7 +164,7 @@ def test_certify_q4_closes_without_search():
 def test_certify_thm2_strict_gap():
     built = construct("thm2", 2)
     d, y = built.dictionary, built.vector
-    cert = spark_certify(d, y)
+    cert = spark_certify(gram_check(d), y)
     assert cert.spark == 6
     assert cert.general_bound == 5
     assert cert.general_bound_relation == ">"
@@ -179,14 +180,14 @@ def test_certify_interval_and_brute_tightening(q2_pair):
         12, ((0, 1), (1, 1), (4, -1), (6, -1), (9, -1), (10, 1)), "thm1"
     )
     assert not apply(d, loose).any()
-    cert = spark_certify(d, loose)
+    cert = spark_certify(gram_check(d), loose)
     assert cert.spark is None
     assert (cert.lower_bound, cert.upper_bound) == (3, 6)
     assert "spark in [3, 6]" in cert.verdict()
     with pytest.raises(ValueError):
         uniqueness_threshold(cert)
 
-    tightened = spark_certify(d, loose, brute_force=spark_bruteforce(d, 3))
+    tightened = spark_certify(gram_check(d), loose, brute_force=spark_bruteforce(d, 3))
     assert tightened.spark == 3 and "brute force" in tightened.certified_by
 
 
@@ -194,9 +195,9 @@ def test_certify_rejects_non_kernel_vectors(q2_pair):
     d, x = q2_pair
     not_kernel = SparseVector(12, ((0, 1), (1, 1)), "thm1")
     with pytest.raises(ValueError, match="kernel"):
-        spark_certify(d, not_kernel)
+        spark_certify(gram_check(d), not_kernel)
     with pytest.raises(ValueError, match="zero"):
-        spark_certify(d, SparseVector(12, (), "thm1"))
+        spark_certify(gram_check(d), SparseVector(12, (), "thm1"))
 
 
 def test_result_reports_budget_and_plan(q2_pair):
