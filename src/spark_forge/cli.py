@@ -12,7 +12,9 @@ followed by the rows of the scaled matrix as comma-separated integers in
 
 followed by one `index,value` line per nonzero entry.  Run reports are
 key-sorted JSON; two runs with the same inputs differ at most in the
-"timing" object.
+"timing" object.  Matrix text is written from tables of byte cells.  A
+dictionary CSV exactly as written is read from bytes, checked by writing it
+back; other text gets the tolerant per-token parse, with the same result.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -58,14 +60,38 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _cells(sep: str, end: str, indent="", head="", tail="") -> np.ndarray:
+    """Table of byte strings, NUL-padded to one width: [k, v + 1] is the text
+    of entry v in a column of kind k, 0 inner, 1 first, 2 last, 3 both."""
+    kinds = [("", sep), (head, sep), ("", end + tail), (head, end + tail)]
+    texts = [f"{h}{indent}{v}{e}".encode() for h, e in kinds for v in (-1, 0, 1)]
+    return np.array(texts, f"V{max(map(len, texts))}").reshape(4, 3)
+
+
+CSV_CELLS = _cells(",", "\n")
+JSON_CELLS = _cells(",\n", "\n", indent=" " * 6, head="    [\n", tail="    ],\n")
+
+
+def _entry_index(values: np.ndarray) -> np.ndarray:
+    """values + 1; ValueError on an entry outside {-1, 0, 1}, as it would wrap."""
+    if values.size and (values.min() < -1 or values.max() > 1):
+        raise ValueError("matrix entries outside {-1, 0, 1}")
+    return values + 1
+
+
+def _cell_rows(matrix: np.ndarray, cells: np.ndarray) -> bytes:
+    """The rows of `matrix` as text, built in one buffer of cells rather
+    than as a string per entry."""
+    col = np.arange(matrix.shape[1])
+    kind = (col == 0) + 2 * (col == col.size - 1)
+    return cells[kind, _entry_index(matrix)].tobytes().translate(None, b"\0")
+
+
 def dictionary_csv(d: dct.ScaledDictionary) -> str:
-    lines = [
+    return (
         f"{DICT_MAGIC}, family={d.family}, q={d.q}, "
-        f"scale_sq={d.scale_sq}, layout=block-major"
-    ]
-    for row in d.matrix:
-        lines.append(",".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+        f"scale_sq={d.scale_sq}, layout=block-major\n"
+    ) + _cell_rows(d.matrix, CSV_CELLS).decode()
 
 
 def vector_csv(x: dct.SparseVector, q: int) -> str:
@@ -112,32 +138,58 @@ def _read_text(path: str | Path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _canonical_matrix(header: str, text: str) -> np.ndarray | None:
+    """The matrix of `text` parsed as bytes, or None unless its first line
+    `header` is the one the per-token parse takes as the header and
+    `dictionary_csv` writes the parsed matrix as exactly the lines after it;
+    so both parses give one matrix on any file they share."""
+    # splitlines also ends a line at \r, \x0b, \x0c, \x1c-\x1e, \x85, \u2028, ...
+    if not header.strip() or header.splitlines() != [header] or not text.isascii():
+        return None
+    raw, start = text.encode(), len(header) + 1
+    full = np.frombuffer(raw, np.uint8)
+    digit = (full[start:] == ord("0")) | (full[start:] == ord("1"))
+    values = full[start:][digit].view(np.int8) - ord("0")
+    values[(full[start - 1 : -1] == ord("-"))[digit]] *= -1
+    del digit  # the round trip below is the peak of a read
+    rows = raw.count(b"\n", start)
+    if not rows or values.size % rows:
+        return None
+    matrix = values.reshape(rows, -1)
+    return matrix if _cell_rows(matrix, CSV_CELLS) == raw[start:] else None
+
+
 def read_dictionary(path: str | Path, text: str | None = None) -> dct.ScaledDictionary:
     """Parse a dictionary CSV; `text` is the file's contents if the caller
     has already read them."""
     if text is None:
         text = _read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputError(f"{path}: empty dictionary file")
-    meta = _parse_header(lines[0], DICT_MAGIC, ("family", "q", "scale_sq", "layout"))
+    header = text.partition("\n")[0]
+    matrix = _canonical_matrix(header, text)
+    if matrix is None:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise InputError(f"{path}: empty dictionary file")
+        header = lines[0]
+    meta = _parse_header(header, DICT_MAGIC, ("family", "q", "scale_sq", "layout"))
     family = meta["family"]
     q, scale_sq = _header_int(path, meta, "q"), _header_int(path, meta, "scale_sq")
     if meta["layout"] != "block-major":
         raise InputError(f"{path}: unsupported layout {meta['layout']!r}")
-    try:
-        rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed matrix row: {exc}") from exc
-    # checked on the parsed integers: narrowing to int8 first would overflow
-    if not all(MATRIX_ENTRIES.issuperset(row) for row in rows):
-        raise InputError(f"{path}: entries outside {{-1, 0, 1}}")
-    try:
-        matrix = np.array(rows, dtype=np.int8)
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed matrix row: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise InputError(f"{path}: no matrix rows")
+    if matrix is None:
+        try:
+            rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
+        except ValueError as exc:
+            raise InputError(f"{path}: malformed matrix row: {exc}") from exc
+        # checked on the parsed integers: narrowing to int8 first would overflow
+        if not all(MATRIX_ENTRIES.issuperset(row) for row in rows):
+            raise InputError(f"{path}: entries outside {{-1, 0, 1}}")
+        try:
+            matrix = np.array(rows, dtype=np.int8)
+        except ValueError as exc:
+            raise InputError(f"{path}: malformed matrix row: {exc}") from exc
+        if matrix.ndim != 2 or matrix.shape[0] == 0:
+            raise InputError(f"{path}: no matrix rows")
     try:
         scale = dct.family_scale(family, q)
     except ValueError as exc:
@@ -192,13 +244,17 @@ def dictionary_json(d: dct.ScaledDictionary, x: dct.SparseVector) -> str:
         "layout": "block-major",
         "block_labels": list(d.block_labels),
         "dimensions": {"rows": d.dimension, "cols": d.n_cols},
-        "matrix": d.matrix.astype(int).tolist(),
+        "matrix": 0,
         "null_vector": {
             "length": x.length,
             "support": [[i, v] for i, v in x.support],
         },
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # JSON_CELLS follow indent=2; json escapes newlines in strings, so only
+    # the top-level key can start a line '  "matrix": '
+    rows = _cell_rows(d.matrix, JSON_CELLS)[:-2].decode()
+    return text.replace('\n  "matrix": 0,', f'\n  "matrix": [\n{rows}\n  ],', 1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,29 +389,25 @@ def report_json(report: dict) -> str:
 def render_svg(matrix: np.ndarray, vector: np.ndarray | None = None) -> str:
     """Cell grid of the matrix, with the vector as a strip below; red +1,
     blue -1, gray 0."""
-    rows, cols = matrix.shape
-    height = rows * CELL + (2 * CELL if vector is not None else 0)
-    width = cols * CELL
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" shape-rendering="crispEdges">'
-    ]
-
-    def emit(r, c, value):
-        parts.append(
-            f'<rect x="{c * CELL}" y="{r * CELL}" width="{CELL}" height="{CELL}" '
-            f'fill="{CELL_COLORS[int(value)]}"/>'
-        )
-
-    for r in range(rows):
-        for c in range(cols):
-            emit(r, c, matrix[r, c])
+    strips = list(_entry_index(matrix))
     if vector is not None:
-        strip_row = rows + 1
-        for c in range(len(vector)):
-            emit(strip_row, c, vector[c])
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        strips += [np.zeros(0, np.uint8), _entry_index(vector)]  # gap, strip
+    size = f'" width="{CELL}" height="{CELL}" fill="'
+    fills = [f'{size}{CELL_COLORS[v]}"/>' for v in (-1, 0, 1)]
+    xs = [f'<rect x="{c * CELL}" y="' for c in range(max(map(len, strips), default=0))]
+    # [v, c]: rect c up to its y, after the fill of a rect of entry v; so a
+    # strip is one join of these, and its last fill, with its y between
+    pieces = np.array([xs[:1] + [f"{f}\n{x}" for x in xs[1:]] for f in fills], object)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{matrix.shape[1] * CELL}" '
+        f'height="{len(strips) * CELL}" shape-rendering="crispEdges">'
+    ]
+    for r, idx in enumerate(strips):
+        if len(idx):
+            row = pieces[np.roll(idx, 1), np.arange(len(idx))]
+            parts.append(str(r * CELL).join([*row, fills[idx[-1]]]))
+    parts += ["</svg>", ""]  # ends in a newline without copying the whole text
+    return "\n".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +542,15 @@ def _cmd_spark(args) -> int:
     dictionary, vector, _ = _load_inputs(args)
     if vector is None:
         raise InputError("spark certification needs the kernel vector")
+    gram = dct.gram_check(dictionary)
+    # refused here, before any search level, if the blocks are not orthonormal
+    certificate = dct.spark_certify(gram, vector)
     brute = None
     if args.brute_force:
         brute = dct.spark_bruteforce(
             dictionary, args.k_max, workers=args.workers, budget=args.budget
         )
-    certificate = dct.spark_certify(
-        dct.gram_check(dictionary), vector, brute_force=brute
-    )
+        certificate = dct.spark_certify(gram, vector, brute_force=brute)
     print(
         f"family={dictionary.family} q={dictionary.q} "
         f"dims={dictionary.dimension}x{dictionary.n_cols} "
@@ -611,10 +664,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,0 +1,271 @@
+"""Artifact I/O against per-entry oracles: the buffer-built CSV, JSON and SVG
+writers must give the same bytes as one formatted string per entry, and the
+byte-level dictionary reader must give the same matrix, or the same error,
+as the per-token parse it falls back to."""
+
+import json
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from spark_forge import cli, dictionaries
+from spark_forge.cli import InputError, read_dictionary
+from spark_forge.designs import block_labels
+
+FAMILIES = [
+    ("thm1", 2), ("thm1", 4), ("thm1", 8), ("thm1", 16), ("thm2", 2), ("thm2", 4)
+]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: one string per entry, and the per-token reader
+# ---------------------------------------------------------------------------
+
+
+def dictionary_csv_oracle(d) -> str:
+    lines = [
+        f"{cli.DICT_MAGIC}, family={d.family}, q={d.q}, "
+        f"scale_sq={d.scale_sq}, layout=block-major"
+    ]
+    for row in d.matrix:
+        lines.append(",".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def dictionary_json_oracle(d, x) -> str:
+    payload = {
+        "schema": "spark-forge dictionary v1",
+        "family": d.family,
+        "q": d.q,
+        "scale_sq": d.scale_sq,
+        "layout": "block-major",
+        "block_labels": list(d.block_labels),
+        "dimensions": {"rows": d.dimension, "cols": d.n_cols},
+        "matrix": d.matrix.astype(int).tolist(),
+        "null_vector": {
+            "length": x.length,
+            "support": [[i, v] for i, v in x.support],
+        },
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def render_svg_oracle(matrix, vector=None) -> str:
+    cell, colors = cli.CELL, cli.CELL_COLORS
+    rows, cols = matrix.shape
+    height = rows * cell + (2 * cell if vector is not None else 0)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * cell}" '
+        f'height="{height}" shape-rendering="crispEdges">'
+    ]
+
+    def emit(r, c, value):
+        parts.append(
+            f'<rect x="{c * cell}" y="{r * cell}" width="{cell}" height="{cell}" '
+            f'fill="{colors[int(value)]}"/>'
+        )
+
+    for r in range(rows):
+        for c in range(cols):
+            emit(r, c, matrix[r, c])
+    if vector is not None:
+        for c in range(len(vector)):
+            emit(rows + 1, c, vector[c])
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def read_dictionary_oracle(path, text):
+    """The per-token parse: every non-blank line of str.splitlines, the
+    first as the header, then int() on each comma-separated token."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise InputError(f"{path}: empty dictionary file")
+    meta = cli._parse_header(
+        lines[0], cli.DICT_MAGIC, ("family", "q", "scale_sq", "layout")
+    )
+    family = meta["family"]
+    q = cli._header_int(path, meta, "q")
+    scale_sq = cli._header_int(path, meta, "scale_sq")
+    if meta["layout"] != "block-major":
+        raise InputError(f"{path}: unsupported layout {meta['layout']!r}")
+    try:
+        rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed matrix row: {exc}") from exc
+    if not all(set(row) <= {-1, 0, 1} for row in rows):
+        raise InputError(f"{path}: entries outside {{-1, 0, 1}}")
+    try:
+        matrix = np.array(rows, dtype=np.int8)
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed matrix row: {exc}") from exc
+    if matrix.ndim != 2 or matrix.shape[0] == 0:
+        raise InputError(f"{path}: no matrix rows")
+    try:
+        scale = dictionaries.family_scale(family, q)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    shape = (scale * scale, (q + 1) * scale * scale)
+    if scale_sq != scale or matrix.shape != shape:
+        raise InputError(
+            f"{path}: header family={family}, q={q}, scale_sq={scale_sq} does "
+            f"not fit a {matrix.shape[0]}x{matrix.shape[1]} matrix; expected "
+            f"scale_sq={scale} and {shape[0]}x{shape[1]}"
+        )
+    return dictionaries.ScaledDictionary(
+        family, q, shape[0], scale_sq, matrix, block_labels(q)
+    )
+
+
+@lru_cache(maxsize=None)
+def _built(family, q):
+    return dictionaries.construct(family, q)
+
+
+# ---------------------------------------------------------------------------
+# Writers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,q", FAMILIES)
+def test_csv_and_json_match_oracles(family, q):
+    built = _built(family, q)
+    d, x = built.dictionary, built.vector
+    assert cli.dictionary_csv(d) == dictionary_csv_oracle(d)
+    assert cli.dictionary_json(d, x) == dictionary_json_oracle(d, x)
+
+
+@pytest.mark.parametrize("family,q", [fq for fq in FAMILIES if fq != ("thm1", 16)])
+def test_svg_matches_oracle(family, q):
+    built = _built(family, q)
+    matrix, dense = built.dictionary.matrix, built.vector.dense()
+    assert cli.render_svg(matrix, dense) == render_svg_oracle(matrix, dense)
+    assert cli.render_svg(matrix) == render_svg_oracle(matrix)
+
+
+def _edge_vector(kind, n):
+    if kind == "none":
+        return None
+    if kind == "zero":
+        return np.zeros(n, dtype=np.int64)
+    return np.array([(-1, 0, 1)[c % 3] for c in range(n)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)], ids=["1x1", "1xn", "nx1"])
+@pytest.mark.parametrize("vector", ["none", "zero", "mixed"])
+def test_edge_shapes_match_oracles(shape, vector):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    matrix = rng.integers(-1, 2, size=shape).astype(np.int8)
+    d = dictionaries.ScaledDictionary("thm1", 2, shape[0], 2, matrix, block_labels(2))
+    dense = _edge_vector(vector, shape[1])
+    support = () if dense is None else tuple(
+        (int(i), int(dense[i])) for i in np.flatnonzero(dense)
+    )
+    x = dictionaries.SparseVector(shape[1], support, "thm1")
+    assert cli.dictionary_csv(d) == dictionary_csv_oracle(d)
+    assert cli.dictionary_json(d, x) == dictionary_json_oracle(d, x)
+    assert cli.render_svg(matrix, dense) == render_svg_oracle(matrix, dense)
+
+
+@pytest.mark.parametrize("bad", [-2, 2])
+def test_writers_reject_entries_outside_the_alphabet(bad):
+    # -2 + 1 = -1 would index the last cell of the table, as if it were 1
+    d = _built("thm1", 2).dictionary
+    matrix = d.matrix.copy()
+    matrix[1, 3] = bad
+    broken = dictionaries.ScaledDictionary(
+        d.family, d.q, d.dimension, d.scale_sq, matrix, d.block_labels
+    )
+    vector = _built("thm1", 2).vector
+    for write in (
+        lambda: cli.dictionary_csv(broken),
+        lambda: cli.dictionary_json(broken, vector),
+        lambda: cli.render_svg(matrix),
+        lambda: cli.render_svg(d.matrix, np.array([0] * 11 + [bad])),
+    ):
+        with pytest.raises(ValueError, match="outside"):
+            write()
+
+
+# ---------------------------------------------------------------------------
+# Reader
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,q", FAMILIES)
+def test_written_files_take_the_byte_path(family, q):
+    text = cli.dictionary_csv(_built(family, q).dictionary)
+    header = text.partition("\n")[0]
+    fast = cli._canonical_matrix(header, text)
+    assert fast is not None and fast.dtype == np.int8
+    expected = read_dictionary_oracle("p", text).matrix
+    assert np.array_equal(fast, expected)
+    assert np.array_equal(read_dictionary("p", text).matrix, expected)
+
+
+def _q4_text():
+    return cli.dictionary_csv(_built("thm1", 4).dictionary)
+
+
+def _replace_entry(text, row, col, token):
+    lines = text.split("\n")
+    cells = lines[row + 1].split(",")
+    cells[col] = token
+    lines[row + 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=None)
+def _variants():
+    """Non-canonical thm1 q=4 dictionary texts, by name."""
+    text = _q4_text()
+    header, _, body = text.partition("\n")
+    rows = body.split("\n")
+    one = next(c for c, v in enumerate(rows[2].split(",")) if v == "1")
+    return {
+        "crlf": text.replace("\n", "\r\n"),
+        "plus-one": _replace_entry(text, 2, one, "+1"),
+        "space-one": _replace_entry(text, 2, one, " 1"),
+        "zero-one": _replace_entry(text, 2, one, "01"),
+        "blank-line": text.replace("\n", "\n\n", 3),
+        "leading-blank-line": "\n" + text,
+        "blank-header": "   \n" + body,
+        "blank-line-before-header": "   \n" + text,
+        "no-final-newline": text[:-1],
+        "ragged-row": "\n".join([header] + [rows[0].rsplit(",", 1)[0]] + rows[1:]),
+        "two": _replace_entry(text, 2, one, "2"),
+        "three-hundred": _replace_entry(text, 2, one, "300"),
+        "header-form-feed-row": header + "\x0c" + rows[0] + "\n" + body,
+        "header-carriage-return": header + "\r\n" + body,
+        "non-ascii-digit": _replace_entry(text, 2, one, "１"),
+        "non-ascii-header": text.replace("family=thm1", "family=thé", 1),
+        "extra-row": text + rows[0] + "\n",
+    }
+
+
+VARIANTS = list(_variants())
+
+
+def _outcome(reader, text):
+    try:
+        d = reader("p.csv", text)
+    except InputError as exc:
+        return ("error", str(exc))
+    return ("ok", d.family, d.q, d.scale_sq, d.matrix.dtype, d.matrix.tolist())
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+def test_reader_matches_per_token_oracle(name):
+    text = _variants()[name]
+    header = text.partition("\n")[0]
+    # an extra row is still written as dictionary_csv would write a 17x80
+    # matrix; the shape check after either parse refuses it
+    byte_path = name == "extra-row"
+    assert (cli._canonical_matrix(header, text) is not None) == byte_path
+    assert _outcome(read_dictionary, text) == _outcome(read_dictionary_oracle, text)
+
+
+def test_reader_variants_cover_both_outcomes():
+    outcomes = {_outcome(read_dictionary_oracle, t)[0] for t in _variants().values()}
+    assert outcomes == {"ok", "error"}

@@ -410,6 +410,34 @@ def test_no_certificate_unless_blocks_are_orthonormal(tmp_path, capsys, command)
     assert report["spark"] is None and report["coherence"] is None
 
 
+def test_spark_refuses_non_orthonormal_blocks_before_searching(
+    tmp_path, capsys, monkeypatch
+):
+    # one sign flipped: block 0 is no longer orthonormal, so no search level
+    # may run before the refusal
+    rows = [ln.split(",") for ln in GOLDEN_Q2_CSV.splitlines()[1:]]
+    rows[1][1] = "-1"
+    dictionary = tmp_path / "dictionary.csv"
+    dictionary.write_text(
+        GOLDEN_Q2_CSV.splitlines()[0] + "\n"
+        + "".join(",".join(row) + "\n" for row in rows)
+    )
+    vec = tmp_path / "vector.csv"
+    vec.write_text(GOLDEN_Q2_VECTOR)
+    calls = []
+    search = dictionaries.spark_bruteforce
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(dictionaries, "spark_bruteforce", counted)
+    argv = ["spark", str(dictionary), str(vec), "--brute-force", "--workers", "1"]
+    assert main(argv) == 2
+    assert "not orthonormal" in capsys.readouterr().err
+    assert calls == []
+
+
 @st.composite
 def _spliced(draw, text):
     """`text` with a short stretch replaced by random text."""
