@@ -222,13 +222,21 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # is known to be independent.  The search walks prefixes in lexicographic
 # order, keeping the candidate columns reduced by fraction-free elimination of
 # the prefix; every reduced entry is an exact integer minor of the matrix.
-# The last two columns are settled at once: at depth k-2, columns t < u
-# complete a dependent k-set exactly when reduced columns t and u are nonzero
+# The last two columns are settled at once: at depth k-2, columns u < w
+# complete a dependent k-set exactly when reduced columns u and w are nonzero
 # and parallel.  Each reduced column is divided by the gcd of its entries and
-# signed so its first nonzero entry is positive; one stable lexsort then
-# groups equal columns, and the lex-least pair is the smallest t with an
-# equal later column, paired with the next one.  The first hit at the
-# smallest level is the (size-major, lexicographically least) witness.
+# signed so its first nonzero entry is positive, and its int64 entries are
+# read as one byte key: equal keys are equal columns, so the test is exact.
+# One stable argsort groups equal keys, and the lex-least pair is the
+# smallest u with an equal later column, paired with the next one.
+#
+# The children of a depth-(k-3) node are settled together, in batches of
+# sibling first columns t: one 3-D fraction-free update reduces the columns
+# after the batch's first t by each t of the batch, columns at or before a
+# child's own t are masked out, and one sort over the whole batch (keys
+# compared only within a child) yields the lex-least (t, u, w).  The first
+# hit at the smallest level is the (size-major, lexicographically least)
+# witness.
 #
 # With worker processes a level is split into chunks of first columns, read
 # back in ascending order.  A chunk that finds a hit lowers a shared bound to
@@ -236,6 +244,9 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # the bound: the lex-least witness has the smallest first column of any hit,
 # so no chunk that could hold it is cut short, and the witness does not
 # depend on the worker count.
+
+# int64 entries in one batched update; caps the search's memory per batch
+_BATCH_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -248,39 +259,92 @@ class BruteForceResult:
     budget: int
 
 
-def _parallel_pair(reduced, t_stop):
-    """Lex-least (t, u) with t < u, t < t_stop and columns t and u of
-    `reduced` nonzero and parallel, or None."""
-    m = reduced.shape[1]
-    if m < 2:
+def _first_parallel(cols, skip):
+    """Lex-least (b, u, w) with skip[b] <= u < w and columns cols[b, u] and
+    cols[b, w] nonzero and parallel, or None.
+
+    `cols` has shape (batch, columns, rows): cols[b] holds the columns of
+    one reduced matrix as rows."""
+    width, rows = cols.shape[1:]
+    gcd = np.gcd.reduce(cols, axis=2)
+    # masked and zero columns never pair
+    keep = (np.arange(width) >= skip[:, None]) & (gcd > 0)
+    b, u = np.nonzero(keep)  # ascending in (b, u)
+    if b.size < 2:
         return None
-    gcd = np.gcd.reduce(reduced, axis=0)
-    nonzero = gcd > 0
-    gcd[~nonzero] = 1
-    lead = reduced[(reduced != 0).argmax(axis=0), np.arange(m)]
-    canon = reduced // np.where(lead < 0, -gcd, gcd)
-    order = np.lexsort(canon)  # stable: equal columns stay in index order
-    ranked = canon[:, order]
-    first = order[:-1]
-    same = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
-    same &= nonzero[first] & (first < t_stop)
+    canon = cols[keep]
+    gcd = gcd[keep]
+    lead = canon[np.arange(b.size), (canon != 0).argmax(axis=1)]
+    canon *= np.where(lead < 0, -1, 1)[:, None]
+    big = gcd > 1
+    if big.any():
+        canon[big] //= gcd[big, None]
+    keys = canon.view(np.dtype((np.void, rows * canon.itemsize))).ravel()
+    order = np.argsort(keys, kind="stable")  # equal keys stay in (b, u) order
+    ranked = canon[order]
+    first, second = order[:-1], order[1:]
+    same = (ranked[1:] == ranked[:-1]).all(axis=1) & (b[first] == b[second])
     hits = np.flatnonzero(same)
     if hits.size == 0:
         return None
     i = hits[np.argmin(first[hits])]
-    return int(order[i]), int(order[i + 1])
+    return int(b[first[i]]), int(u[first[i]]), int(u[second[i]])
+
+
+def _parallel_pair(reduced, t_stop):
+    """Lex-least (t, u) with t < u, t < t_stop and columns t and u of
+    `reduced` nonzero and parallel, or None."""
+    hit = _first_parallel(reduced.T[None], np.zeros(1, dtype=np.int64))
+    if hit is None or hit[1] >= t_stop:
+        return None
+    return hit[1], hit[2]
+
+
+def _last_three(reduced, ids, prev_piv, t_stop, bound):
+    """Lex-least (t, u, w), t < u < w, t < t_stop, with column t of
+    `reduced` nonzero and columns u and w, reduced by column t, nonzero and
+    parallel, as matrix indices `ids`; at the root, stops once t's index
+    passes `bound`."""
+    rows, m = reduced.shape
+    t_stop = min(t_stop, m - 2)
+    cols = np.ascontiguousarray(reduced.T)
+    lead = (reduced != 0).argmax(axis=0)
+    # a zero column t has pivot 0, so its whole update is zero and masked
+    piv = reduced[lead, np.arange(m)]
+    t0 = 0
+    while t0 < t_stop:
+        if bound is not None and ids[t0] > bound.value:
+            return None  # a hit with a smaller first column exists
+        rest = cols[t0 + 1 :]
+        width = rest.shape[0]
+        t1 = min(t_stop, t0 + max(1, _BATCH_ELEMENTS // (width * rows)))
+        ts = np.arange(t0, t1)
+        # fraction-free update of every column after t0 by each t of the
+        # batch: entries stay (depth+2)-minors of the matrix
+        upd = piv[ts, None, None] * rest
+        upd -= rest[:, lead[ts]].T[:, :, None] * cols[ts, None, :]
+        if prev_piv != 1:
+            upd //= prev_piv
+        hit = _first_parallel(upd, ts - t0)  # child t keeps columns > t
+        if hit is not None:
+            t = t0 + hit[0]
+            if bound is not None and ids[t] > bound.value:
+                return None
+            u, w = t0 + 1 + hit[1], t0 + 1 + hit[2]
+            return int(ids[t]), int(ids[u]), int(ids[w])
+        t0 = t1
+    return None
 
 
 def _descend(reduced, ids, prev_piv, prefix, k, t_stop, bound=None):
-    """Lex-least completion of `prefix` to a dependent k-set by columns of
-    `reduced` (matrix indices `ids`), the next one at a position below
-    t_stop; at depth 0, stops once that column's index passes `bound`."""
+    """Lex-least completion of `prefix` to a dependent k-set (k >= 3) by
+    columns of `reduced` (matrix indices `ids`), the next one at a position
+    below t_stop; at depth 0, stops once that column's index passes
+    `bound`."""
     depth = len(prefix)
-    if depth == k - 2:
-        pair = _parallel_pair(reduced, t_stop)
-        if pair is None:
-            return None
-        return prefix + (int(ids[pair[0]]), int(ids[pair[1]]))
+    if depth == k - 3:
+        res = _last_three(reduced, ids, prev_piv, t_stop, bound)
+        return None if res is None else prefix + res
     m = reduced.shape[1]
     for t in range(min(t_stop, m - (k - depth - 1))):
         if bound is not None and ids[t] > bound.value:
@@ -307,6 +371,9 @@ def _search_level_range(m64, k, f_start, f_stop, bound=None):
     if k == 1:
         zero = np.flatnonzero(~m64[:, f_start:f_stop].any(axis=0))
         return (f_start + int(zero[0]),) if zero.size else None
+    if k == 2:
+        pair = _parallel_pair(m64[:, f_start:], f_stop - f_start)
+        return None if pair is None else (f_start + pair[0], f_start + pair[1])
     return _descend(
         m64[:, f_start:], np.arange(f_start, n), 1, (), k, f_stop - f_start, bound
     )
@@ -343,15 +410,11 @@ def _run_level(m64, k, workers, pool, bound):
         pool.submit(_worker_range, k, s, min(s + chunk, last_first + 1))
         for s in range(0, last_first + 1, chunk)
     ]
-    result = None
     for fut in futures:  # ascending first-index order re-establishes lex order
         res = fut.result()
         if res is not None:
-            result = res
-            break
-    for fut in futures:
-        fut.cancel()
-    return result
+            return res  # chunks still queued are dropped at pool shutdown
+    return None
 
 
 def _check_minor_bound(matrix, k):
@@ -360,7 +423,11 @@ def _check_minor_bound(matrix, k):
     The deepest minors the elimination (and the witness re-check) forms have
     order j = min(k - 1, rows); Hadamard's bound caps them at a^j * j^(j/2)
     for entries of magnitude at most a, and an update subtracts two products
-    of such minors, so 2 * bound^2 must stay below 2^63.
+    of such minors, so 2 * bound^2 must stay below 2^63.  The batched update
+    of a depth-(k-3) node also computes the columns at or before each
+    child's own first column, which are then masked out; each such entry is
+    still the difference of two products of (depth+1)-minors, so the same
+    bound covers it.
     """
     j = min(k - 1, matrix.shape[0])
     if j < 1:
@@ -427,7 +494,7 @@ def spark_bruteforce(
                 break
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     if witness is not None and exact_rank(m64[:, list(witness)]) != found_size - 1:
         raise RuntimeError(
             f"search kernel fault: witness {list(witness)} does not have rank "

@@ -264,7 +264,7 @@ def test_bruteforce_witness_in_later_chunk_than_quick_hit():
         assert spark_bruteforce(d, 3, workers=workers) == serial
 
 
-def test_search_range_stops_past_the_shared_bound():
+def test_search_range_stops_past_the_shared_bound(monkeypatch):
     m64 = _chunked_case().astype(np.int64)
 
     class Bound:
@@ -276,6 +276,33 @@ def test_search_range_stops_past_the_shared_bound():
     Bound.value = 5  # a hit at first column 5 would beat anything here
     assert dct._search_level_range(m64, 3, 4, 8, Bound) is None
     assert dct._search_level_range(m64, 3, 8, 12, Bound) is None
+
+    # The bound falls inside a batch of the k = 3 root.  By default first
+    # columns 4..11 make one batch (8 rows x 28 later columns per child); a
+    # cap of 3 * 224 entries cuts them into batches of three, and a cap of 1
+    # into single children.  The batch holding the hit (7, 30, 32) starts at
+    # or before the bound, yet the hit is past it and must not be returned.
+    default = dct._BATCH_ELEMENTS
+    for cap in (default, 3 * 224, 1):
+        monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
+        Bound.value = 6
+        assert dct._search_level_range(m64, 3, 4, 12, Bound) is None
+        Bound.value = 7
+        assert dct._search_level_range(m64, 3, 4, 12, Bound) == (7, 30, 32)
+
+    class Lowered:
+        """Reads 33 at the first check, then 6: another chunk found a hit at
+        first column 6 while the batch was being settled."""
+
+        reads = 0
+
+        @property
+        def value(self):
+            self.reads += 1
+            return 33 if self.reads == 1 else 6
+
+    monkeypatch.setattr(dct, "_BATCH_ELEMENTS", default)
+    assert dct._search_level_range(m64, 3, 4, 12, Lowered()) is None
 
 
 def test_parallel_pair_helper():
@@ -290,6 +317,111 @@ def test_parallel_pair_helper():
     assert dct._parallel_pair(z, 2) == (1, 4)
     assert dct._parallel_pair(z[:, 2:], 6) == (1, 3)
     assert dct._parallel_pair(np.zeros((2, 1), dtype=np.int64), 1) is None
+
+
+def test_parallel_pair_byte_keys():
+    # equal after gcd and sign: gcd 2 with a negative lead, gcd 3 positive
+    pair = np.array([[-2, 3], [4, -6], [0, 0], [-6, 9]])
+    assert dct._parallel_pair(pair, 2) == (0, 1)
+    # one entry differs, in a low byte, a high byte, or only in sign
+    for a, b in (([1, 2, 3], [1, 2, 4]), ([1, 0, 2], [1, 1 << 40, 2]),
+                 ([1, 5, -7], [1, 5, 7])):
+        assert dct._parallel_pair(np.array([a, b]).T, 2) is None
+    # a zero column and a nonzero one, and two zero columns, never pair
+    assert dct._parallel_pair(np.array([[0, 1], [0, 0]]), 2) is None
+    assert dct._parallel_pair(np.zeros((3, 2), dtype=np.int64), 2) is None
+
+
+def test_first_parallel_pairs_only_within_a_child():
+    col = np.array([1, -1, 2])
+    cols = np.zeros((3, 4, 3), dtype=np.int64)
+    cols[0, 1] = col  # child 0: one copy only
+    cols[1, 0] = col  # child 1: a copy in a masked column, then one kept
+    cols[1, 2] = -3 * col
+    cols[2, 1] = 2 * col  # child 2: the first pair of kept columns
+    cols[2, 3] = col
+    skip = np.array([0, 1, 0])
+    assert dct._first_parallel(cols, skip) == (2, 1, 3)
+    assert dct._first_parallel(cols, np.array([0, 0, 0])) == (1, 0, 2)
+    assert dct._first_parallel(cols, np.array([4, 4, 2])) is None
+
+
+def _pair_by_minors(reduced):
+    """Lex-least (t, u) of nonzero columns whose 2 x 2 minors all vanish,
+    by a plain double loop."""
+    m = reduced.shape[1]
+    for t in range(m):
+        a = reduced[:, t]
+        for u in range(t + 1, m):
+            b = reduced[:, u]
+            if a.any() and b.any() and (np.outer(a, b) == np.outer(b, a)).all():
+                return t, u
+    return None
+
+
+def _per_child_search(reduced, ids, prev_piv, prefix, k):
+    """The search as one child at a time: fraction-free elimination of each
+    nonzero next column, and the last two columns by `_pair_by_minors`."""
+    m = reduced.shape[1]
+    if len(prefix) == k - 2:
+        pair = _pair_by_minors(reduced)
+        return None if pair is None else prefix + (ids[pair[0]], ids[pair[1]])
+    for t in range(m):
+        v = reduced[:, t]
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            continue
+        piv = int(v[nz[0]])
+        rest = reduced[:, t + 1 :]
+        nxt = (piv * rest - np.outer(v, rest[nz[0]])) // prev_piv
+        res = _per_child_search(nxt, ids[t + 1 :], piv, prefix + (ids[t],), k)
+        if res is not None:
+            return res
+    return None
+
+
+def test_batched_nodes_match_the_per_child_loop(monkeypatch):
+    """Matrices with proper dependent subsets, which the level order never
+    hands the search, so that depth-(k-3) nodes get children whose pivot
+    column is zero and duplicate columns on either side of a child's t."""
+    rng = np.random.default_rng(8)
+    default = dct._BATCH_ELEMENTS
+    for trial in range(60):
+        m = _random_planted(rng).astype(np.int64)
+        rows, n = m.shape
+        a, t, b = sorted(rng.choice(n, size=3, replace=False))
+        m[:, b] = m[:, a] * int(rng.choice([-1, 1]))  # duplicates around t
+        if rng.random() < 0.5:
+            m[:, int(rng.integers(1, n))] = m[:, 0]  # zero pivot under (0,)
+        if rng.random() < 0.3:
+            m[:, int(rng.integers(0, n))] = 0
+        ids = tuple(range(n))
+        for k in range(3, min(n, 6) + 1):
+            want = _per_child_search(m, ids, 1, (), k)
+            for cap in (1, 3, 2 * m.size, default):
+                monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
+                got = dct._search_level_range(m, k, 0, n)
+                assert got == want, (trial, k, cap, m)
+
+
+def test_batch_cap_does_not_change_the_result(monkeypatch):
+    """Caps of 1 and 3 entries settle one child per batch, so batch
+    boundaries fall inside every level; three times the matrix's entries
+    gives three or more children per batch."""
+    rng = np.random.default_rng(33)
+    default = dct._BATCH_ELEMENTS
+    cases = [(_chunked_case(), 3)]
+    cases += [(_random_planted(rng), int(rng.integers(3, 6))) for _ in range(100)]
+    for i, (m, k_max) in enumerate(cases):
+        d = _as_dictionary(m)
+        want = spark_bruteforce(d, k_max)
+        assert (want.found_size, want.witness) == _oracle_search(m, k_max), i
+        for cap in (1, 3, 3 * m.size):
+            monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
+            assert spark_bruteforce(d, k_max) == want, (i, cap)
+            if i % 4 == 0:
+                assert spark_bruteforce(d, k_max, workers=2) == want, (i, cap)
+        monkeypatch.setattr(dct, "_BATCH_ELEMENTS", default)
 
 
 def test_bruteforce_refuses_possible_int64_overflow(monkeypatch):
