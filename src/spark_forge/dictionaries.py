@@ -14,13 +14,17 @@ Everything is exact: the matrix M with entries in {-1, 0, +1} stands for
 D = M / sqrt(scale_sq), spark search uses fraction-free (division-exact)
 Gaussian elimination in integers and settles the last two columns of each
 subset by comparing gcd-normalised integer columns, and coherence is a
-Fraction.  `gram_check` reads the block Gram strips of `mub.gram_strips`
+Fraction.  The search starts subsets only at one column per orbit of the
+signed column permutations that XOR translations and Sylvester sign
+modulations of the rows induce; each such symmetry is checked exactly on
+the matrix at run time, and the witness is still the lex-least dependent
+subset.  `gram_check` reads the block Gram strips of `mub.gram_strips`
 once and yields the orthonormality and unbiasedness checks together with
 the coherence; the strips are float32 BLAS products, exact because every
-entry and partial sum is an integer below 2^24 in magnitude (checked at run
-time, with an int64 fallback).  A spark certificate takes that pass, so the
-coherence bounds are applied only where their hypothesis, orthonormal
-blocks, was checked.
+entry and partial sum is an integer below 2^24 in magnitude (checked at
+run time, with an int64 fallback).  A spark certificate takes that pass,
+so the coherence bounds are applied only where their hypothesis,
+orthonormal blocks, was checked.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import INFINITY, Label, block_labels, build_net
-from .gf import FieldContext
-from .hadamard import permuted_hadamard
+from .gf import MAX_DEGREE, FieldContext
+from .hadamard import permuted_hadamard, sylvester
 from .mub import build_basis, gram_strips
 from .report import CheckReport
 
@@ -238,12 +242,32 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # hit at the smallest level is the (size-major, lexicographically least)
 # witness.
 #
+# From size 3 on, subsets start only at symmetry orbit representatives.  A
+# signed row permutation T with T M = M P S, for a column permutation P and
+# a diagonal sign matrix S, maps every dependent column set onto a dependent
+# set of the same size.  The candidates are the XOR translations of the row
+# index and the Sylvester sign modulations; one is kept only after checking,
+# on the byte keys of every column and its negative, that it maps every
+# column to plus or minus a column.  A column is a representative when it
+# is the least index of its orbit under the kept maps, and the level search
+# runs, in the matrix's own order, only over subsets whose first column is
+# a representative.  That loses no witness: if the lex-least dependent set
+# started at a column j that is not a representative, a symmetry taking j
+# to its orbit's least index would give a dependent set with a smaller
+# first column.  So the search still returns the lex-least witness, and
+# finding nothing still clears the level.  The same argument trims each
+# subtree: the lex-least set of a symmetry class holds no column of an
+# orbit whose least index is below its first column, so subsets that start
+# at a representative r use only columns whose orbit's least index is at
+# least r.
+#
 # With worker processes a level is split into chunks of first columns, read
 # back in ascending order.  A chunk that finds a hit lowers a shared bound to
-# the hit's first column, and every chunk stops once its first column passes
-# the bound: the lex-least witness has the smallest first column of any hit,
-# so no chunk that could hold it is cut short, and the witness does not
-# depend on the worker count.
+# the hit's first column, and every chunk stops, at its next node, once its
+# first column passes the bound: the lex-least witness has the smallest
+# first column of any hit, so no chunk that could hold it is cut short, and
+# the witness does not depend on the worker count.  Sizes 1 and 2 are one
+# vectorised test each and run in process; the pool starts at size 3.
 
 # int64 entries in one batched update; caps the search's memory per batch
 _BATCH_ELEMENTS = 2**16
@@ -300,11 +324,17 @@ def _parallel_pair(reduced, t_stop):
     return hit[1], hit[2]
 
 
-def _last_three(reduced, ids, prev_piv, t_stop, bound):
+def _past(bound, first):
+    """Whether a hit elsewhere in the pass has a first column below `first`,
+    so that no subset starting at `first` can be the lex-least witness."""
+    return bound is not None and first > bound.value
+
+
+def _last_three(reduced, ids, prev_piv, t_stop, bound, first=None):
     """Lex-least (t, u, w), t < u < w, t < t_stop, with column t of
     `reduced` nonzero and columns u and w, reduced by column t, nonzero and
-    parallel, as matrix indices `ids`; at the root, stops once t's index
-    passes `bound`."""
+    parallel, as matrix indices `ids`.  Stops once the subset's first column
+    (`first`, or t's index at the root) passes `bound`."""
     rows, m = reduced.shape
     t_stop = min(t_stop, m - 2)
     cols = np.ascontiguousarray(reduced.T)
@@ -313,8 +343,8 @@ def _last_three(reduced, ids, prev_piv, t_stop, bound):
     piv = reduced[lead, np.arange(m)]
     t0 = 0
     while t0 < t_stop:
-        if bound is not None and ids[t0] > bound.value:
-            return None  # a hit with a smaller first column exists
+        if _past(bound, ids[t0] if first is None else first):
+            return None
         rest = cols[t0 + 1 :]
         width = rest.shape[0]
         t1 = min(t_stop, t0 + max(1, _BATCH_ELEMENTS // (width * rows)))
@@ -328,7 +358,7 @@ def _last_three(reduced, ids, prev_piv, t_stop, bound):
         hit = _first_parallel(upd, ts - t0)  # child t keeps columns > t
         if hit is not None:
             t = t0 + hit[0]
-            if bound is not None and ids[t] > bound.value:
+            if _past(bound, ids[t] if first is None else first):
                 return None
             u, w = t0 + 1 + hit[1], t0 + 1 + hit[2]
             return int(ids[t]), int(ids[u]), int(ids[w])
@@ -339,16 +369,16 @@ def _last_three(reduced, ids, prev_piv, t_stop, bound):
 def _descend(reduced, ids, prev_piv, prefix, k, t_stop, bound=None):
     """Lex-least completion of `prefix` to a dependent k-set (k >= 3) by
     columns of `reduced` (matrix indices `ids`), the next one at a position
-    below t_stop; at depth 0, stops once that column's index passes
-    `bound`."""
+    below t_stop; stops once the subset's first column passes `bound`."""
     depth = len(prefix)
+    first = prefix[0] if prefix else None
     if depth == k - 3:
-        res = _last_three(reduced, ids, prev_piv, t_stop, bound)
+        res = _last_three(reduced, ids, prev_piv, t_stop, bound, first)
         return None if res is None else prefix + res
     m = reduced.shape[1]
     for t in range(min(t_stop, m - (k - depth - 1))):
-        if bound is not None and ids[t] > bound.value:
-            return None  # a hit with a smaller first column exists
+        if _past(bound, ids[t] if first is None else first):
+            return None
         v = reduced[:, t]
         nz = np.flatnonzero(v)
         if nz.size == 0:
@@ -357,15 +387,19 @@ def _descend(reduced, ids, prev_piv, prefix, k, t_stop, bound=None):
         rest = reduced[:, t + 1 :]
         # fraction-free update: entries stay (depth+2)-minors of the matrix
         nxt = (piv * rest - np.outer(v, rest[p])) // prev_piv
-        res = _descend(nxt, ids[t + 1 :], piv, prefix + (int(ids[t]),), k, m)
+        res = _descend(nxt, ids[t + 1 :], piv, prefix + (int(ids[t]),), k, m, bound)
         if res is not None:
             return res
     return None
 
 
-def _search_level_range(m64, k, f_start, f_stop, bound=None):
+def _search_level_range(m64, k, f_start, f_stop, bound=None, orbit=None):
     """Lex-least dependent subset of exact size k with first column index in
-    [f_start, f_stop); proper subsets are assumed independent."""
+    [f_start, f_stop); proper subsets are assumed independent.  `m64` must
+    be int64 from k = 3 on; sizes 1 and 2 only need exact negation.  With
+    `orbit` (k >= 3 only), every column in [f_start, f_stop) is a
+    representative, and the other columns are only those whose orbit's
+    least index is at least f_start."""
     n = m64.shape[1]
     f_stop = min(f_stop, n - k + 1)
     if k == 1:
@@ -374,9 +408,86 @@ def _search_level_range(m64, k, f_start, f_stop, bound=None):
     if k == 2:
         pair = _parallel_pair(m64[:, f_start:], f_stop - f_start)
         return None if pair is None else (f_start + pair[0], f_start + pair[1])
-    return _descend(
-        m64[:, f_start:], np.arange(f_start, n), 1, (), k, f_stop - f_start, bound
-    )
+    cols = np.arange(f_start, n) if orbit is None else np.flatnonzero(orbit >= f_start)
+    # a view when no column is left out
+    reduced = m64[:, f_start:] if cols.size == n - f_start else m64[:, cols]
+    return _descend(reduced, cols, 1, (), k, f_stop - f_start, bound)
+
+
+def _column_orbits(matrix):
+    """Exact column symmetries of `matrix` among the candidate row
+    transforms, and the column orbits they generate.
+
+    Returns (kept, orbit).  `kept` lists, in the order tried, the transforms
+    ("xor", a), row i -> row i ^ a, and ("mod", a), row i times
+    (-1)^popcount(i & a), for a = 1..rows-1, that map every column to plus
+    or minus a column; `orbit[j]` is the least column index in column j's
+    orbit.  Only row counts 2..2^MAX_DEGREE that are powers of two, and
+    nonzero columns pairwise distinct up to sign, are tried; any other
+    matrix gets no transform and single-column orbits.  Entries must have
+    magnitude below 2^15, as `_check_minor_bound` ensures for any search
+    that reaches size 3.
+    """
+    rows, n = matrix.shape
+    orbit = np.arange(n)
+    if not 2 <= rows <= 1 << MAX_DEGREE or rows & (rows - 1):
+        return [], orbit
+    cols = np.ascontiguousarray(matrix.T, dtype=np.int16)  # exact, negation too
+    ranked = np.concatenate([cols, -cols])  # row n + j is column j negated
+    key = np.dtype((np.void, 2 * rows))
+    order = np.argsort(ranked.view(key).ravel())
+    ranked = ranked[order]
+    keys = ranked.view(key).ravel()
+    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
+        return [], orbit  # a zero or repeated column: dependent at size <= 2
+    idx = np.arange(rows)
+    sylv = sylvester(rows.bit_length() - 1).astype(np.int16)
+
+    def column_map(kind, a):
+        """Columns that the columns, transformed, equal up to sign, or None
+        when one of them equals none.  Maps 8, 16, 32, ... columns at a
+        time, so that most failures cost a few small steps."""
+        perm = []
+        start, step = 0, 8
+        while start < n:
+            part = cols[start : start + step]
+            img = part.take(idx ^ a, axis=1) if kind == "xor" else part * sylv[a]
+            pos = np.searchsorted(keys, img.view(key).ravel())
+            pos = np.minimum(pos, 2 * n - 1)
+            if not (ranked[pos] == img).all():
+                return None
+            perm.append(order[pos] % n)
+            start, step = start + step, 2 * step
+        return np.concatenate(perm).astype(np.int32)  # kept maps are held
+
+    kept, maps = [], []
+    for kind in ("xor", "mod"):
+        # The transforms of one kind compose as a ^ b, so the kept ones
+        # form a group and the failed ones whole cosets of it: only a
+        # candidate outside both is checked, and only generators are mapped.
+        status = np.zeros(rows, dtype=np.int8)  # 1 kept, -1 failed
+        status[0] = 1
+        for a in range(1, rows):
+            if status[a] == 0:
+                group = np.flatnonzero(status == 1)
+                perm = column_map(kind, a)
+                if perm is None:
+                    status[group ^ a] = -1
+                else:
+                    status[np.flatnonzero(status == -1) ^ a] = -1
+                    status[group ^ a] = 1
+                    maps.append(perm)
+            if status[a] == 1:
+                kept.append((kind, a))
+    changed = bool(maps)
+    while changed:  # least index over the connected components of the maps
+        changed = False
+        for perm in maps:
+            low = np.minimum(orbit, orbit[perm])
+            low[perm] = np.minimum(low[perm], low)
+            if (low != orbit).any():
+                orbit, changed = low, True
+    return kept, orbit
 
 
 _WORKER_MATRIX = None
@@ -389,26 +500,48 @@ def _init_worker(matrix_int8, bound):
     _WORKER_BOUND = bound
 
 
-def _worker_range(k, f_start, f_stop):
-    res = _search_level_range(_WORKER_MATRIX, k, f_start, f_stop, _WORKER_BOUND)
-    if res is not None:
-        with _WORKER_BOUND.get_lock():
-            _WORKER_BOUND.value = min(_WORKER_BOUND.value, res[0])
-    return res
+def _worker_range(k, runs, orbit):
+    for f_start, f_stop in runs:
+        res = _search_level_range(
+            _WORKER_MATRIX, k, f_start, f_stop, _WORKER_BOUND, orbit
+        )
+        if res is not None:
+            with _WORKER_BOUND.get_lock():
+                _WORKER_BOUND.value = min(_WORKER_BOUND.value, res[0])
+            return res
+    return None
 
 
-def _run_level(m64, k, workers, pool, bound):
-    n = m64.shape[1]
-    last_first = n - k
-    if last_first < 0:
+def _runs(firsts):
+    """Maximal runs of consecutive ints in the ascending array `firsts`, as
+    (start, stop) pairs."""
+    cuts = np.flatnonzero(np.diff(firsts) != 1) + 1
+    return [(int(r[0]), int(r[-1]) + 1) for r in np.split(firsts, cuts)]
+
+
+def _run_level(matrix, k, workers, pool, bound, orbit=None):
+    """Lex-least dependent k-subset of the columns of `matrix`, or None.
+    With `orbit` (from `_column_orbits`), subsets start only at its
+    representatives and keep to their own and later orbits.  With a pool,
+    only the matrix's shape is read: the workers hold their own int64
+    copy."""
+    n = matrix.shape[1]
+    firsts = np.arange(n - k + 1)
+    if orbit is not None:
+        firsts = firsts[orbit[: n - k + 1] == firsts]
+    if firsts.size == 0:
         return None
-    if pool is None or k == 1:
-        return _search_level_range(m64, k, 0, last_first + 1)
+    if pool is None:  # one worker, or sizes 1 and 2
+        for f_start, f_stop in _runs(firsts):
+            res = _search_level_range(matrix, k, f_start, f_stop, None, orbit)
+            if res is not None:
+                return res
+        return None
     bound.value = n  # no hit yet at this level
-    chunk = max(1, -(-(last_first + 1) // (workers * 4)))
+    chunk = max(1, -(-firsts.size // (workers * 4)))
     futures = [
-        pool.submit(_worker_range, k, s, min(s + chunk, last_first + 1))
-        for s in range(0, last_first + 1, chunk)
+        pool.submit(_worker_range, k, _runs(firsts[s : s + chunk]), orbit)
+        for s in range(0, firsts.size, chunk)
     ]
     for fut in futures:  # ascending first-index order re-establishes lex order
         res = fut.result()
@@ -450,12 +583,15 @@ def spark_bruteforce(
     """Smallest dependent column subset of size <= k_max, if any.
 
     Returns the lexicographically least witness of the smallest size; the
-    result does not depend on the worker count.  The budget caps the total
-    number of subsets the search is allowed to plan for (a priori, by
-    binomial counts), degrading k_max rather than aborting mid-run; it must
-    cover at least the single columns.  Raises ValueError when the int64
-    elimination could overflow at the planned depth, and RuntimeError if a
-    witness fails its exact rank re-check.
+    result does not depend on the worker count.  From size 3 up, subsets
+    start only at one column per orbit of the matrix's column symmetries
+    (found and checked exactly at run time), which keeps the lex-least
+    witness.  The budget caps the total number of subsets the search is
+    allowed to plan for (a priori, by binomial counts), degrading k_max
+    rather than aborting mid-run; it must cover at least the single
+    columns.  Raises ValueError when the int64 elimination could overflow
+    at the planned depth, and RuntimeError if a witness fails its exact
+    rank re-check.
     """
     n = dictionary.n_cols
     if budget < n:
@@ -474,32 +610,42 @@ def spark_bruteforce(
         k_checked = k
     _check_minor_bound(dictionary.matrix, k_checked)
 
-    m64 = dictionary.matrix.astype(np.int64)
+    # sizes 1 and 2 compare the columns themselves (int16 negates any int8);
+    # the elimination from size 3 on runs in int64, in the workers if any
+    matrix = dictionary.matrix.astype(np.int16)
     found_size = None
     witness = None
     pool = None
     bound = None
+    orbit = None
     try:
-        if workers > 1 and k_checked >= 2:
-            bound = multiprocessing.Value("q", n)
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(dictionary.matrix, bound),
-            )
         for k in range(1, k_checked + 1):
-            res = _run_level(m64, k, workers, pool, bound)
+            if k == 3:
+                # sizes 1 and 2 are clean, so the columns are nonzero and
+                # pairwise distinct up to sign, as the orbit pass needs
+                orbit = _column_orbits(dictionary.matrix)[1]
+                if workers > 1:
+                    bound = multiprocessing.Value("q", n)
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers,
+                        initializer=_init_worker,
+                        initargs=(dictionary.matrix, bound),
+                    )
+                else:
+                    matrix = dictionary.matrix.astype(np.int64)
+            res = _run_level(matrix, k, workers, pool, bound, orbit)
             if res is not None:
                 found_size, witness = k, res
                 break
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    if witness is not None and exact_rank(m64[:, list(witness)]) != found_size - 1:
-        raise RuntimeError(
-            f"search kernel fault: witness {list(witness)} does not have rank "
-            f"{found_size - 1}"
-        )
+    if witness is not None:
+        if exact_rank(dictionary.matrix[:, list(witness)]) != found_size - 1:
+            raise RuntimeError(
+                f"search kernel fault: witness {list(witness)} does not have "
+                f"rank {found_size - 1}"
+            )
     return BruteForceResult(k_max, k_checked, found_size, witness, planned, budget)
 
 

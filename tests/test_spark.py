@@ -22,6 +22,7 @@ from spark_forge import (
     uniqueness_threshold,
 )
 from spark_forge import dictionaries as dct
+from spark_forge.hadamard import sylvester
 
 
 def _oracle_rank(matrix) -> int:
@@ -332,6 +333,13 @@ def test_parallel_pair_byte_keys():
     assert dct._parallel_pair(np.zeros((3, 2), dtype=np.int64), 2) is None
 
 
+def test_bruteforce_pairs_columns_with_the_int8_minimum():
+    # -128 has no int8 negation: (-128, 2) and (64, -1) are still parallel
+    m = np.array([[1, -128, 0, 64], [1, 2, 1, -1]], dtype=np.int8)
+    res = spark_bruteforce(_as_dictionary(m), 2, workers=2)
+    assert (res.found_size, res.witness) == (2, (1, 3))
+
+
 def test_first_parallel_pairs_only_within_a_child():
     col = np.array([1, -1, 2])
     cols = np.zeros((3, 4, 3), dtype=np.int64)
@@ -451,3 +459,244 @@ def test_bruteforce_rechecks_witness_rank(q2_pair, monkeypatch):
     )
     with pytest.raises(RuntimeError, match="rank"):
         spark_bruteforce(d, 3)
+
+
+# ---------------------------------------------------------------------------
+# Orbit-rooted levels
+# ---------------------------------------------------------------------------
+
+
+def _candidates(rows):
+    return [(kind, a) for kind in ("xor", "mod") for a in range(1, rows)]
+
+
+def _oracle_symmetries(matrix):
+    """(kept, orbit) as `_column_orbits` defines them, by plain Python: a
+    candidate is kept when every transformed column, as a tuple, is in the
+    set of columns and their negatives; orbits by union-find over the kept
+    column maps."""
+    rows, n = matrix.shape
+    columns = matrix.T.tolist()
+    where = {}
+    for j, col in enumerate(columns):
+        where[tuple(col)] = j
+        where[tuple(-x for x in col)] = j
+    parent = list(range(n))
+
+    def find(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    kept = []
+    for kind, a in _candidates(rows):
+        images = []
+        for col in columns:
+            if kind == "xor":
+                img = tuple(col[i ^ a] for i in range(rows))
+            else:
+                img = tuple(-x if bin(i & a).count("1") % 2 else x
+                            for i, x in enumerate(col))
+            if img not in where:
+                break
+            images.append(where[img])
+        else:
+            kept.append((kind, a))
+            for j, image in enumerate(images):
+                root_j, root_i = find(j), find(image)
+                parent[max(root_j, root_i)] = min(root_j, root_i)
+    return kept, np.array([find(j) for j in range(n)])
+
+
+@pytest.mark.parametrize(
+    "family, q, orbits, kept",
+    [("thm2", 2, 3, 30), ("thm1", 4, 5, 30), ("thm1", 8, 21, 66)],
+)
+def test_column_orbits_of_the_shipped_families(family, q, orbits, kept):
+    m = build_dictionary(family, q).matrix
+    got_kept, orbit = dct._column_orbits(m)
+    assert len(got_kept) == kept and np.unique(orbit).size == orbits
+    want_kept, want_orbit = _oracle_symmetries(m)
+    assert got_kept == want_kept
+    assert (orbit == want_orbit).all()
+
+
+def _trivial_orbits(matrix):
+    return [], np.arange(matrix.shape[1])
+
+
+def test_tampered_matrix_keeps_only_its_true_symmetries(monkeypatch):
+    """One sign flipped in thm1 q=4 leaves 3 of the 30 transforms (those
+    that fix the tampered column up to sign) and 32 orbits; the search
+    gives the oracle's result and the plain search's, whose witness moves
+    off column 0."""
+    m = build_dictionary("thm1", 4).matrix.copy()
+    m[0, 0] = -m[0, 0]
+    kept, orbit = dct._column_orbits(m)
+    want_kept, want_orbit = _oracle_symmetries(m)
+    assert kept == want_kept and (orbit == want_orbit).all()
+    assert len(kept) == 3 and np.unique(orbit).size == 32
+    d = _as_dictionary(m)
+    clean = spark_bruteforce(d, 3, workers=2)
+    assert (clean.found_size, clean.witness) == _oracle_search(m, 3) == (None, None)
+    results = [spark_bruteforce(d, 5, workers=w) for w in (1, 2)]
+    monkeypatch.setattr(dct, "_column_orbits", _trivial_orbits)
+    assert spark_bruteforce(d, 3) == clean
+    results += [spark_bruteforce(d, 5, workers=w) for w in (1, 2)]
+    assert all(res == results[0] for res in results)
+    assert results[0].witness == (1, 16, 36, 53, 71)
+    assert exact_rank(m[:, results[0].witness]) == 4
+
+
+def test_orbit_pass_does_not_change_results(monkeypatch):
+    """The searches of this file on matrices with symmetry, with the orbit
+    pass and with every orbit one column, for 1 and 2 workers."""
+    thm2 = build_dictionary("thm2", 2)
+    thm1 = build_dictionary("thm1", 4)
+    cases = [(build_dictionary("thm1", 2), 3, 10**8), (thm2, 5, 10**8),
+             (thm2, 6, 10**8), (thm1, 4, 10**8), (thm1, 5, 10**8),
+             (build_dictionary("thm1", 2), 3, 100),
+             (_as_dictionary(_chunked_case()), 3, 10**8)]
+
+    def run_all():
+        return [spark_bruteforce(d, k, workers=w, budget=b)
+                for d, k, b in cases for w in (1, 2)]
+
+    rooted = run_all()
+    monkeypatch.setattr(dct, "_column_orbits", _trivial_orbits)
+    assert run_all() == rooted
+
+
+def _symmetric_planted(rng):
+    """8-row {-1, 0, 1} matrix whose columns, up to sign, are closed under a
+    random group of XOR translations and sign modulations of the row index.
+    Most have planted dependent triples: 2 to 4 parts with disjoint supports
+    and the sums of the first part with each other one, so the images of
+    each triple are dependent too and several triples share a column.
+    Columns are shuffled and randomly signed, so an orbit's least index can
+    fall anywhere."""
+    rows = 8
+    idx = np.arange(rows)
+    sylv = sylvester(3)
+    nonzero = np.arange(1, rows)
+    while True:
+        shifts = rng.choice(nonzero, int(rng.integers(1, 3)), replace=False)
+        gens = [idx ^ int(a) for a in shifts]
+        mods = [sylv[int(rng.choice(nonzero))]] if rng.random() < 0.5 else []
+        seeds = [rng.integers(-1, 2, rows) for _ in range(int(rng.integers(0, 2)))]
+        if rng.random() < 0.8:
+            cut = np.sort(rng.choice(nonzero, int(rng.integers(1, 4)), replace=False))
+            parts = [np.isin(idx, p) * rng.choice([-1, 1], rows)
+                     for p in np.split(rng.permutation(rows), cut)]
+            seeds += parts + [parts[0] + p for p in parts[1:]]
+        found = {}
+        todo = [s for s in seeds if s.any()]
+        while todo:
+            col = todo.pop()
+            key = tuple(col * (1 if col[np.flatnonzero(col)[0]] > 0 else -1))
+            if key in found:
+                continue
+            found[key] = col
+            todo += [col[g] for g in gens] + [col * s for s in mods]
+        if 6 <= len(found) <= 16:
+            break
+    cols = [np.array(c) * rng.choice([-1, 1]) for c in found]
+    return np.array(cols, dtype=np.int8)[rng.permutation(len(cols))].T
+
+
+def test_rooted_levels_on_symmetric_matrices(monkeypatch):
+    """Against the oracle, for 1 and 2 workers, with subsets from size 3 on
+    started only at the orbits' least indices.  The witness always starts
+    at one (a symmetry taking its first column lower would give a
+    lex-smaller dependent set); the cases that matter are witnesses past
+    skipped first columns and witnesses holding non-representatives."""
+    rng = np.random.default_rng(9)
+    orbits_seen, firsts_seen = [], []
+    run_level, level_range = dct._run_level, dct._search_level_range
+
+    def recording(m64, k, workers, pool, bound, orbit=None):
+        if k >= 3:
+            orbits_seen.append(orbit)
+        return run_level(m64, k, workers, pool, bound, orbit)
+
+    def recording_range(m64, k, f_start, f_stop, bound=None, orbit=None):
+        if k >= 3:  # in this process, so with one worker
+            firsts_seen.extend(range(f_start, min(f_stop, m64.shape[1] - k + 1)))
+        return level_range(m64, k, f_start, f_stop, bound, orbit)
+
+    monkeypatch.setattr(dct, "_run_level", recording)
+    monkeypatch.setattr(dct, "_search_level_range", recording_range)
+    hits = past_skipped = mixed = 0
+    for trial in range(100):
+        m = _symmetric_planted(rng)
+        k_max = int(rng.integers(3, 6))
+        want = _oracle_search(m, k_max)
+        orbit = dct._column_orbits(m)[1]
+        reps = np.flatnonzero(orbit == np.arange(m.shape[1]))
+        assert reps.size < m.shape[1], trial  # the search is rooted
+        d = _as_dictionary(m)
+        orbits_seen.clear()
+        firsts_seen.clear()
+        for workers in (1, 2):
+            res = spark_bruteforce(d, k_max, workers=workers)
+            assert (res.found_size, res.witness) == want, (trial, workers, m)
+        assert orbits_seen and all((o == orbit).all() for o in orbits_seen)
+        assert firsts_seen and (orbit[firsts_seen] == firsts_seen).all()
+        if want[0] is not None:
+            first = want[1][0]
+            assert orbit[first] == first
+            hits += 1
+            past_skipped += bool((orbit[:first] != np.arange(first)).any())
+            mixed += any(orbit[j] != j for j in want[1])
+    assert hits > 50 and past_skipped >= 3 and mixed >= 50, (hits, past_skipped, mixed)
+
+
+def test_level_range_leaves_out_earlier_orbits():
+    """With orbit labels, subsets from column 1 skip column 3, labelled as
+    orbit 0's: the dependent set (1, 2, 3) is not searched, (1, 2, 4) is."""
+    m64 = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 1, 2], [0, 0, 1, 1, 1]])
+    orbit = np.array([0, 1, 2, 0, 4])
+    assert dct._search_level_range(m64, 3, 1, 2) == (1, 2, 3)
+    assert dct._search_level_range(m64, 3, 1, 2, None, orbit) == (1, 2, 4)
+    assert dct._search_level_range(m64, 3, 1, 3, None, orbit) == (1, 2, 4)
+
+
+def test_pool_starts_at_the_first_size_three_level(monkeypatch, q2_pair):
+    d, _ = q2_pair
+    made = []
+
+    class Counting(dct.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dct, "ProcessPoolExecutor", Counting)
+    assert spark_bruteforce(d, 2, workers=2) == spark_bruteforce(d, 2)
+    assert made == []
+    assert spark_bruteforce(d, 3, workers=2).witness == (0, 4, 11)
+    assert made == [2]
+
+
+def test_runs_of_first_columns():
+    assert dct._runs(np.array([0, 1, 2, 5, 7, 8])) == [(0, 3), (5, 6), (7, 9)]
+    assert dct._runs(np.array([4])) == [(4, 5)]
+
+
+def test_search_range_stops_below_the_root_once_the_bound_falls():
+    """At k = 4 the first column's check passes, then another chunk finds a
+    hit at first column 6: the next check, inside column 7's subtree,
+    stops the chunk instead of letting it finish the subtree."""
+    m64 = _chunked_case().astype(np.int64)
+
+    class Lowered:
+        reads = 0
+
+        @property
+        def value(self):
+            self.reads += 1
+            return 33 if self.reads == 1 else 6
+
+    assert dct._search_level_range(m64, 4, 7, 8) == (7, 8, 9, 10)
+    lowered = Lowered()
+    assert dct._search_level_range(m64, 4, 7, 8, lowered) is None
+    assert lowered.reads == 2
