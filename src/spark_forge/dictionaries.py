@@ -11,20 +11,21 @@ command line:
   and a (q^2+q)-sparse kernel vector.
 
 Everything is exact: the matrix M with entries in {-1, 0, +1} stands for
-D = M / sqrt(scale_sq), spark search uses fraction-free (division-exact)
-Gaussian elimination in integers and settles the last two columns of each
-subset by comparing gcd-normalised integer columns, and coherence is a
-Fraction.  The search starts subsets only at one column per orbit of the
-signed column permutations that XOR translations and Sylvester sign
-modulations of the rows induce; each such symmetry is checked exactly on
-the matrix at run time, and the witness is still the lex-least dependent
-subset.  `gram_check` reads the block Gram strips of `mub.gram_strips`
-once and yields the orthonormality and unbiasedness checks together with
-the coherence; the strips are float32 BLAS products, exact because every
-entry and partial sum is an integer below 2^24 in magnitude (checked at
-run time, with an int64 fallback).  A spark certificate takes that pass,
-so the coherence bounds are applied only where their hypothesis,
-orthonormal blocks, was checked.
+D = M / sqrt(scale_sq), coherence is a Fraction, and the spark search
+finds zero and parallel columns directly and, from size 3 on, expands
+every node by one fraction-free (division-exact) integer update, settling
+the last two columns of each subset by comparing gcd-normalised integer
+columns.  It starts subsets only at one column per orbit of the signed
+column permutations that XOR translations and Sylvester sign modulations
+of the rows induce; each such symmetry is checked exactly on the matrix
+at run time, and the witness is still the lex-least dependent subset.
+`gram_check` reads the block Gram strips of `mub.gram_strips` once and
+yields the orthonormality and unbiasedness checks together with the
+coherence; the strips are float32 BLAS products, exact because every entry
+and partial sum is an integer below 2^24 in magnitude (checked at run
+time, with an int64 fallback).  A spark certificate takes that pass, so
+the coherence bounds are applied only where their hypothesis, orthonormal
+blocks, was checked.
 """
 
 from __future__ import annotations
@@ -222,25 +223,29 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # Brute-force spark search
 # ---------------------------------------------------------------------------
 #
-# Levels run in increasing subset size k, so at level k every smaller subset
-# is known to be independent.  The search walks prefixes in lexicographic
-# order, keeping the candidate columns reduced by fraction-free elimination of
-# the prefix; every reduced entry is an exact integer minor of the matrix.
-# The last two columns are settled at once: at depth k-2, columns u < w
-# complete a dependent k-set exactly when reduced columns u and w are nonzero
-# and parallel.  Each reduced column is divided by the gcd of its entries and
-# signed so its first nonzero entry is positive, and its int64 entries are
-# read as one byte key: equal keys are equal columns, so the test is exact.
-# One stable argsort groups equal keys, and the lex-least pair is the
-# smallest u with an equal later column, paired with the next one.
+# Sizes run in increasing order k, so at size k every smaller subset is
+# known to be independent.  Size 1 looks for a zero column.  From size 2
+# on, the last two columns u < w of a subset, reduced by fraction-free
+# elimination of the columns before them, complete a dependent set exactly
+# when they are nonzero and parallel.  Each column is divided by the gcd of
+# its entries and signed so its first nonzero entry is positive, and its
+# entries are read as one byte key: equal keys are equal columns, so the
+# test is exact, and one stable argsort finds the lex-least pair.  Sizes 1
+# and 2 are one call each on an int16 copy of the matrix, which negates any
+# int8 entry exactly.
 #
-# The children of a depth-(k-3) node are settled together, in batches of
-# sibling first columns t: one 3-D fraction-free update reduces the columns
-# after the batch's first t by each t of the batch, columns at or before a
-# child's own t are masked out, and one sort over the whole batch (keys
-# compared only within a child) yields the lex-least (t, u, w).  The first
-# hit at the smallest level is the (size-major, lexicographically least)
-# witness.
+# From size 3 on the search walks prefixes in lexicographic order, and one
+# routine, `_descend`, expands a node at every depth: one fraction-free
+# update reduces the columns after each child t by column t, so every
+# reduced entry is an exact integer minor of the matrix.  At depth k-3 it
+# covers a batch of siblings: columns at or before a child's own t are
+# masked out, and one sort over the batch (keys compared only within a
+# child) yields the lex-least (t, u, w).  Above that depth it covers one
+# child, whose subtree is searched before the next sibling is reduced, so
+# an early hit pays for no later sibling; a child whose reduced column is
+# zero closes a smaller dependent set and is skipped, as its pivot would
+# divide the next depth.  The first hit at the smallest size is the
+# (size-major, lexicographically least) witness.
 #
 # From size 3 on, subsets start only at symmetry orbit representatives.  A
 # signed row permutation T with T M = M P S, for a column permutation P and
@@ -261,13 +266,14 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # at a representative r use only columns whose orbit's least index is at
 # least r.
 #
-# With worker processes a level is split into chunks of first columns, read
-# back in ascending order.  A chunk that finds a hit lowers a shared bound to
-# the hit's first column, and every chunk stops, at its next node, once its
+# One loop searches runs of first columns in order, in process or in a
+# worker.  A pool splits a level into chunks of first columns, read back in
+# ascending order.  A chunk that finds a hit lowers a shared bound to the
+# hit's first column, and every chunk stops, at its next node, once its
 # first column passes the bound: the lex-least witness has the smallest
 # first column of any hit, so no chunk that could hold it is cut short, and
-# the witness does not depend on the worker count.  Sizes 1 and 2 are one
-# vectorised test each and run in process; the pool starts at size 3.
+# the witness does not depend on the worker count.  A pool has no more
+# processes than size 3 has first columns, the most chunks of any level.
 
 # int64 entries in one batched update; caps the search's memory per batch
 _BATCH_ELEMENTS = 2**16
@@ -315,103 +321,70 @@ def _first_parallel(cols, skip):
     return int(b[first[i]]), int(u[first[i]]), int(u[second[i]])
 
 
-def _parallel_pair(reduced, t_stop):
-    """Lex-least (t, u) with t < u, t < t_stop and columns t and u of
-    `reduced` nonzero and parallel, or None."""
-    hit = _first_parallel(reduced.T[None], np.zeros(1, dtype=np.int64))
-    if hit is None or hit[1] >= t_stop:
-        return None
-    return hit[1], hit[2]
-
-
 def _past(bound, first):
     """Whether a hit elsewhere in the pass has a first column below `first`,
     so that no subset starting at `first` can be the lex-least witness."""
     return bound is not None and first > bound.value
 
 
-def _last_three(reduced, ids, prev_piv, t_stop, bound, first=None):
-    """Lex-least (t, u, w), t < u < w, t < t_stop, with column t of
-    `reduced` nonzero and columns u and w, reduced by column t, nonzero and
-    parallel, as matrix indices `ids`.  Stops once the subset's first column
-    (`first`, or t's index at the root) passes `bound`."""
-    rows, m = reduced.shape
-    t_stop = min(t_stop, m - 2)
-    cols = np.ascontiguousarray(reduced.T)
-    lead = (reduced != 0).argmax(axis=0)
-    # a zero column t has pivot 0, so its whole update is zero and masked
-    piv = reduced[lead, np.arange(m)]
+def _descend(cols, ids, prev_piv, prefix, k, t_stop, bound):
+    """Lex-least completion of `prefix` to a dependent k-set (k >= 3) by the
+    reduced columns `cols` (one per row, matrix indices `ids`), the next one
+    at a position below t_stop; stops once the subset's first column
+    (`prefix[0]`, or the next one's index at the root) passes `bound`."""
+    m = len(cols)
+    depth = len(prefix)
+    first = prefix[0] if prefix else None
+    last = depth == k - 3
+    lead = (cols != 0).argmax(axis=1)
+    # a zero column t has pivot 0: its update is zero, masked or skipped
+    piv = cols[np.arange(m), lead]
+    t_stop = min(t_stop, m - (k - depth - 1))
     t0 = 0
     while t0 < t_stop:
         if _past(bound, ids[t0] if first is None else first):
             return None
+        if not last and piv[t0] == 0:
+            t0 += 1
+            continue  # a smaller dependent set; found at an earlier level
         rest = cols[t0 + 1 :]
-        width = rest.shape[0]
-        t1 = min(t_stop, t0 + max(1, _BATCH_ELEMENTS // (width * rows)))
+        t1 = t0 + 1  # one child above depth k-3, a batch at it
+        if last:
+            t1 = min(t_stop, t0 + max(1, _BATCH_ELEMENTS // rest.size))
         ts = np.arange(t0, t1)
-        # fraction-free update of every column after t0 by each t of the
-        # batch: entries stay (depth+2)-minors of the matrix
+        # fraction-free update of every column after t0 by each child t:
+        # entries stay (depth+2)-minors of the matrix
         upd = piv[ts, None, None] * rest
         upd -= rest[:, lead[ts]].T[:, :, None] * cols[ts, None, :]
         if prev_piv != 1:
             upd //= prev_piv
-        hit = _first_parallel(upd, ts - t0)  # child t keeps columns > t
-        if hit is not None:
-            t = t0 + hit[0]
-            if _past(bound, ids[t] if first is None else first):
-                return None
-            u, w = t0 + 1 + hit[1], t0 + 1 + hit[2]
-            return int(ids[t]), int(ids[u]), int(ids[w])
+        if last:
+            hit = _first_parallel(upd, ts - t0)  # child t keeps columns > t
+            if hit is not None:
+                t = t0 + hit[0]
+                if _past(bound, ids[t] if first is None else first):
+                    return None
+                u, w = t0 + 1 + hit[1], t0 + 1 + hit[2]
+                return prefix + (int(ids[t]), int(ids[u]), int(ids[w]))
+        else:
+            # a copy, not a view of upd: fewer page faults in pool workers
+            child = prefix + (int(ids[t0]),)
+            res = _descend(upd[0].copy(), ids[t1:], int(piv[t0]), child, k, m, bound)
+            if res is not None:
+                return res
         t0 = t1
     return None
 
 
-def _descend(reduced, ids, prev_piv, prefix, k, t_stop, bound=None):
-    """Lex-least completion of `prefix` to a dependent k-set (k >= 3) by
-    columns of `reduced` (matrix indices `ids`), the next one at a position
-    below t_stop; stops once the subset's first column passes `bound`."""
-    depth = len(prefix)
-    first = prefix[0] if prefix else None
-    if depth == k - 3:
-        res = _last_three(reduced, ids, prev_piv, t_stop, bound, first)
-        return None if res is None else prefix + res
-    m = reduced.shape[1]
-    for t in range(min(t_stop, m - (k - depth - 1))):
-        if _past(bound, ids[t] if first is None else first):
-            return None
-        v = reduced[:, t]
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            continue  # a smaller witness; found at an earlier level
-        p, piv = int(nz[0]), int(v[nz[0]])
-        rest = reduced[:, t + 1 :]
-        # fraction-free update: entries stay (depth+2)-minors of the matrix
-        nxt = (piv * rest - np.outer(v, rest[p])) // prev_piv
-        res = _descend(nxt, ids[t + 1 :], piv, prefix + (int(ids[t]),), k, m, bound)
-        if res is not None:
-            return res
-    return None
-
-
-def _search_level_range(m64, k, f_start, f_stop, bound=None, orbit=None):
-    """Lex-least dependent subset of exact size k with first column index in
-    [f_start, f_stop); proper subsets are assumed independent.  `m64` must
-    be int64 from k = 3 on; sizes 1 and 2 only need exact negation.  With
-    `orbit` (k >= 3 only), every column in [f_start, f_stop) is a
-    representative, and the other columns are only those whose orbit's
-    least index is at least f_start."""
-    n = m64.shape[1]
-    f_stop = min(f_stop, n - k + 1)
-    if k == 1:
-        zero = np.flatnonzero(~m64[:, f_start:f_stop].any(axis=0))
-        return (f_start + int(zero[0]),) if zero.size else None
-    if k == 2:
-        pair = _parallel_pair(m64[:, f_start:], f_stop - f_start)
-        return None if pair is None else (f_start + pair[0], f_start + pair[1])
-    cols = np.arange(f_start, n) if orbit is None else np.flatnonzero(orbit >= f_start)
-    # a view when no column is left out
-    reduced = m64[:, f_start:] if cols.size == n - f_start else m64[:, cols]
-    return _descend(reduced, cols, 1, (), k, f_stop - f_start, bound)
+def _search_level_range(m64, k, f_start, f_stop, orbit, bound=None):
+    """Lex-least dependent subset of exact size k >= 3 with first column
+    index in [f_start, f_stop); proper subsets are assumed independent.
+    `m64` is int64, every column in [f_start, f_stop) is a representative
+    of `orbit`, and the other columns are only those whose orbit's least
+    index is at least f_start."""
+    ids = np.flatnonzero(orbit >= f_start)
+    t_stop = min(f_stop, m64.shape[1] - k + 1) - f_start
+    return _descend(m64.T[ids], ids, 1, (), k, t_stop, bound)
 
 
 def _column_orbits(matrix):
@@ -500,16 +473,21 @@ def _init_worker(matrix_int8, bound):
     _WORKER_BOUND = bound
 
 
-def _worker_range(k, runs, orbit):
+def _search_runs(m64, k, runs, orbit, bound=None):
+    """First hit of `_search_level_range` over the (start, stop) runs of
+    first columns, in order; a hit lowers the shared `bound`, if any."""
     for f_start, f_stop in runs:
-        res = _search_level_range(
-            _WORKER_MATRIX, k, f_start, f_stop, _WORKER_BOUND, orbit
-        )
+        res = _search_level_range(m64, k, f_start, f_stop, orbit, bound)
         if res is not None:
-            with _WORKER_BOUND.get_lock():
-                _WORKER_BOUND.value = min(_WORKER_BOUND.value, res[0])
+            if bound is not None:
+                with bound.get_lock():
+                    bound.value = min(bound.value, res[0])
             return res
     return None
+
+
+def _worker_runs(k, runs, orbit):
+    return _search_runs(_WORKER_MATRIX, k, runs, orbit, _WORKER_BOUND)
 
 
 def _runs(firsts):
@@ -519,28 +497,22 @@ def _runs(firsts):
     return [(int(r[0]), int(r[-1]) + 1) for r in np.split(firsts, cuts)]
 
 
-def _run_level(matrix, k, workers, pool, bound, orbit=None):
-    """Lex-least dependent k-subset of the columns of `matrix`, or None.
-    With `orbit` (from `_column_orbits`), subsets start only at its
-    representatives and keep to their own and later orbits.  With a pool,
-    only the matrix's shape is read: the workers hold their own int64
-    copy."""
+def _run_level(matrix, k, orbit, workers, pool, bound):
+    """Lex-least dependent k-subset (k >= 3) of the columns of `matrix`, or
+    None.  Subsets start only at the representatives of `orbit` (from
+    `_column_orbits`) and keep to their own and later orbits.  Without a
+    pool, `matrix` is int64 and searched here; with one, only its shape is
+    read, and `workers` worker processes, holding their own int64 copy,
+    search chunks of first columns."""
     n = matrix.shape[1]
     firsts = np.arange(n - k + 1)
-    if orbit is not None:
-        firsts = firsts[orbit[: n - k + 1] == firsts]
-    if firsts.size == 0:
-        return None
-    if pool is None:  # one worker, or sizes 1 and 2
-        for f_start, f_stop in _runs(firsts):
-            res = _search_level_range(matrix, k, f_start, f_stop, None, orbit)
-            if res is not None:
-                return res
-        return None
+    firsts = firsts[orbit[: n - k + 1] == firsts]  # holds column 0
+    if pool is None:
+        return _search_runs(matrix, k, _runs(firsts), orbit)
     bound.value = n  # no hit yet at this level
     chunk = max(1, -(-firsts.size // (workers * 4)))
     futures = [
-        pool.submit(_worker_range, k, _runs(firsts[s : s + chunk]), orbit)
+        pool.submit(_worker_runs, k, _runs(firsts[s : s + chunk]), orbit)
         for s in range(0, firsts.size, chunk)
     ]
     for fut in futures:  # ascending first-index order re-establishes lex order
@@ -589,10 +561,12 @@ def spark_bruteforce(
     witness.  The budget caps the total number of subsets the search is
     allowed to plan for (a priori, by binomial counts), degrading k_max
     rather than aborting mid-run; it must cover at least the single
-    columns.  Raises ValueError when the int64 elimination could overflow
-    at the planned depth, and RuntimeError if a witness fails its exact
-    rank re-check.
+    columns.  Raises ValueError when workers is below 1 or the int64
+    elimination could overflow at the planned depth, and RuntimeError if a
+    witness fails its exact rank re-check.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     n = dictionary.n_cols
     if budget < n:
         raise ValueError(
@@ -610,36 +584,42 @@ def spark_bruteforce(
         k_checked = k
     _check_minor_bound(dictionary.matrix, k_checked)
 
-    # sizes 1 and 2 compare the columns themselves (int16 negates any int8);
-    # the elimination from size 3 on runs in int64, in the workers if any
-    matrix = dictionary.matrix.astype(np.int16)
-    found_size = None
-    witness = None
-    pool = None
-    bound = None
-    orbit = None
-    try:
-        for k in range(1, k_checked + 1):
-            if k == 3:
-                # sizes 1 and 2 are clean, so the columns are nonzero and
-                # pairwise distinct up to sign, as the orbit pass needs
-                orbit = _column_orbits(dictionary.matrix)[1]
-                if workers > 1:
-                    bound = multiprocessing.Value("q", n)
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_init_worker,
-                        initargs=(dictionary.matrix, bound),
-                    )
-                else:
-                    matrix = dictionary.matrix.astype(np.int64)
-            res = _run_level(matrix, k, workers, pool, bound, orbit)
-            if res is not None:
-                found_size, witness = k, res
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    # sizes 1 and 2 compare the columns themselves (int16 negates any int8)
+    small = dictionary.matrix.astype(np.int16)
+    zero = np.flatnonzero(~small.any(axis=0))
+    pair = None
+    if k_checked >= 2 and zero.size == 0:
+        pair = _first_parallel(small.T[None], np.zeros(1, dtype=np.int64))
+    found_size = witness = None
+    if k_checked >= 1 and zero.size:
+        found_size, witness = 1, (int(zero[0]),)
+    elif pair is not None:
+        found_size, witness = 2, pair[1:]
+    elif k_checked >= 3:
+        # the columns are nonzero and pairwise distinct up to sign, as the
+        # orbit pass needs; with a pool, the workers hold the int64 copies
+        orbit = _column_orbits(dictionary.matrix)[1]
+        firsts = orbit[: n - 2] == np.arange(n - 2)  # of the size-3 subsets
+        workers = min(workers, int(firsts.sum()))
+        matrix, pool, bound = dictionary.matrix, None, None
+        if workers > 1:
+            bound = multiprocessing.Value("q", n)
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(matrix, bound),
+            )
+        else:
+            matrix = matrix.astype(np.int64)
+        try:
+            for k in range(3, k_checked + 1):
+                witness = _run_level(matrix, k, orbit, workers, pool, bound)
+                if witness is not None:
+                    found_size = k
+                    break
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
     if witness is not None:
         if exact_rank(dictionary.matrix[:, list(witness)]) != found_size - 1:
             raise RuntimeError(

@@ -267,16 +267,17 @@ def test_bruteforce_witness_in_later_chunk_than_quick_hit():
 
 def test_search_range_stops_past_the_shared_bound(monkeypatch):
     m64 = _chunked_case().astype(np.int64)
+    own = np.arange(33)  # every column its own orbit
 
     class Bound:
         value = 33
 
-    assert dct._search_level_range(m64, 3, 4, 8, Bound) == (7, 30, 32)
+    assert dct._search_level_range(m64, 3, 4, 8, own, Bound) == (7, 30, 32)
     Bound.value = 7  # a hit at first column 7 does not cut column 7 short
-    assert dct._search_level_range(m64, 3, 4, 8, Bound) == (7, 30, 32)
+    assert dct._search_level_range(m64, 3, 4, 8, own, Bound) == (7, 30, 32)
     Bound.value = 5  # a hit at first column 5 would beat anything here
-    assert dct._search_level_range(m64, 3, 4, 8, Bound) is None
-    assert dct._search_level_range(m64, 3, 8, 12, Bound) is None
+    assert dct._search_level_range(m64, 3, 4, 8, own, Bound) is None
+    assert dct._search_level_range(m64, 3, 8, 12, own, Bound) is None
 
     # The bound falls inside a batch of the k = 3 root.  By default first
     # columns 4..11 make one batch (8 rows x 28 later columns per child); a
@@ -287,9 +288,9 @@ def test_search_range_stops_past_the_shared_bound(monkeypatch):
     for cap in (default, 3 * 224, 1):
         monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
         Bound.value = 6
-        assert dct._search_level_range(m64, 3, 4, 12, Bound) is None
+        assert dct._search_level_range(m64, 3, 4, 12, own, Bound) is None
         Bound.value = 7
-        assert dct._search_level_range(m64, 3, 4, 12, Bound) == (7, 30, 32)
+        assert dct._search_level_range(m64, 3, 4, 12, own, Bound) == (7, 30, 32)
 
     class Lowered:
         """Reads 33 at the first check, then 6: another chunk found a hit at
@@ -303,34 +304,42 @@ def test_search_range_stops_past_the_shared_bound(monkeypatch):
             return 33 if self.reads == 1 else 6
 
     monkeypatch.setattr(dct, "_BATCH_ELEMENTS", default)
-    assert dct._search_level_range(m64, 3, 4, 12, Lowered()) is None
+    assert dct._search_level_range(m64, 3, 4, 12, own, Lowered()) is None
+
+
+def _pair(reduced):
+    """Lex-least (t, u), t < u, of nonzero parallel columns of `reduced`, as
+    the size-2 test of `spark_bruteforce` finds it, or None."""
+    cols = np.ascontiguousarray(np.asarray(reduced).T)[None]
+    hit = dct._first_parallel(cols, np.zeros(1, dtype=np.int64))
+    return None if hit is None else hit[1:]
 
 
 def test_parallel_pair_helper():
     # (2, -4) is parallel to (-1, 2) after gcd scaling and sign fixing
     r = np.array([[1, 2, 3, -1], [1, -4, 5, 2]])
-    assert dct._parallel_pair(r, 4) == (1, 3)
-    assert dct._parallel_pair(r, 1) is None  # only first index 0 allowed
-    assert dct._parallel_pair(np.array([[1, 0, 1], [0, 1, 1]]), 3) is None
+    assert _pair(r) == (1, 3)
+    assert _pair(r)[0] >= 1  # no pair starts at column 0
+    assert _pair(np.array([[1, 0, 1], [0, 1, 1]])) is None
     # zero columns are never part of a pair; the lex-least pair wins
     z = np.array([[0, 3, 0, 1, 6, 1], [0, 0, 0, 0, 0, 0], [0, 3, 0, -2, 6, -2]])
-    assert dct._parallel_pair(z, 6) == (1, 4)
-    assert dct._parallel_pair(z, 2) == (1, 4)
-    assert dct._parallel_pair(z[:, 2:], 6) == (1, 3)
-    assert dct._parallel_pair(np.zeros((2, 1), dtype=np.int64), 1) is None
+    assert _pair(z) == (1, 4)
+    assert _pair(z)[0] < 2  # the least pair starts before column 2
+    assert _pair(z[:, 2:]) == (1, 3)
+    assert _pair(np.zeros((2, 1), dtype=np.int64)) is None
 
 
 def test_parallel_pair_byte_keys():
     # equal after gcd and sign: gcd 2 with a negative lead, gcd 3 positive
     pair = np.array([[-2, 3], [4, -6], [0, 0], [-6, 9]])
-    assert dct._parallel_pair(pair, 2) == (0, 1)
+    assert _pair(pair) == (0, 1)
     # one entry differs, in a low byte, a high byte, or only in sign
     for a, b in (([1, 2, 3], [1, 2, 4]), ([1, 0, 2], [1, 1 << 40, 2]),
                  ([1, 5, -7], [1, 5, 7])):
-        assert dct._parallel_pair(np.array([a, b]).T, 2) is None
+        assert _pair(np.array([a, b]).T) is None
     # a zero column and a nonzero one, and two zero columns, never pair
-    assert dct._parallel_pair(np.array([[0, 1], [0, 0]]), 2) is None
-    assert dct._parallel_pair(np.zeros((3, 2), dtype=np.int64), 2) is None
+    assert _pair(np.array([[0, 1], [0, 0]])) is None
+    assert _pair(np.zeros((3, 2), dtype=np.int64)) is None
 
 
 def test_bruteforce_pairs_columns_with_the_int8_minimum():
@@ -367,9 +376,11 @@ def _pair_by_minors(reduced):
     return None
 
 
-def _per_child_search(reduced, ids, prev_piv, prefix, k):
+def _per_child_search(reduced, ids, prev_piv, prefix, k, skipped=None):
     """The search as one child at a time: fraction-free elimination of each
-    nonzero next column, and the last two columns by `_pair_by_minors`."""
+    nonzero next column, and the last two columns by `_pair_by_minors`.
+    Zero columns skipped above depth k-3 are appended to `skipped` as
+    (prefix, column)."""
     m = reduced.shape[1]
     if len(prefix) == k - 2:
         pair = _pair_by_minors(reduced)
@@ -378,11 +389,15 @@ def _per_child_search(reduced, ids, prev_piv, prefix, k):
         v = reduced[:, t]
         nz = np.flatnonzero(v)
         if nz.size == 0:
+            if skipped is not None and len(prefix) < k - 3:
+                skipped.append((prefix, ids[t]))
             continue
         piv = int(v[nz[0]])
         rest = reduced[:, t + 1 :]
         nxt = (piv * rest - np.outer(v, rest[nz[0]])) // prev_piv
-        res = _per_child_search(nxt, ids[t + 1 :], piv, prefix + (ids[t],), k)
+        res = _per_child_search(
+            nxt, ids[t + 1 :], piv, prefix + (ids[t],), k, skipped
+        )
         if res is not None:
             return res
     return None
@@ -390,10 +405,14 @@ def _per_child_search(reduced, ids, prev_piv, prefix, k):
 
 def test_batched_nodes_match_the_per_child_loop(monkeypatch):
     """Matrices with proper dependent subsets, which the level order never
-    hands the search, so that depth-(k-3) nodes get children whose pivot
-    column is zero and duplicate columns on either side of a child's t."""
+    hands the search, so that nodes at every depth get children whose pivot
+    column is zero, and depth-(k-3) nodes duplicate columns on either side
+    of a child's t.  Above depth k-3 a zero-pivot child must be skipped: its
+    pivot would be the next depth's divisor.  Sizes up to 7 put up to four
+    depths above the batched one."""
     rng = np.random.default_rng(8)
     default = dct._BATCH_ELEMENTS
+    inner_zero = 0
     for trial in range(60):
         m = _random_planted(rng).astype(np.int64)
         rows, n = m.shape
@@ -401,15 +420,22 @@ def test_batched_nodes_match_the_per_child_loop(monkeypatch):
         m[:, b] = m[:, a] * int(rng.choice([-1, 1]))  # duplicates around t
         if rng.random() < 0.5:
             m[:, int(rng.integers(1, n))] = m[:, 0]  # zero pivot under (0,)
+        if rng.random() < 0.5:  # zero pivot under (a, b), at depth 2
+            a, b, c = sorted(rng.choice(n, size=3, replace=False))
+            m[:, c] = m[:, a] - m[:, b]
         if rng.random() < 0.3:
             m[:, int(rng.integers(0, n))] = 0
         ids = tuple(range(n))
-        for k in range(3, min(n, 6) + 1):
-            want = _per_child_search(m, ids, 1, (), k)
+        for k in range(3, min(n, 7) + 1):
+            skipped = []
+            want = _per_child_search(m, ids, 1, (), k, skipped)
+            inner_zero += bool(skipped)
             for cap in (1, 3, 2 * m.size, default):
                 monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
-                got = dct._search_level_range(m, k, 0, n)
+                with np.errstate(all="raise"):  # no division by a zero pivot
+                    got = dct._search_level_range(m, k, 0, n, np.arange(n))
                 assert got == want, (trial, k, cap, m)
+    assert inner_zero >= 50, inner_zero
 
 
 def test_batch_cap_does_not_change_the_result(monkeypatch):
@@ -614,15 +640,15 @@ def test_rooted_levels_on_symmetric_matrices(monkeypatch):
     orbits_seen, firsts_seen = [], []
     run_level, level_range = dct._run_level, dct._search_level_range
 
-    def recording(m64, k, workers, pool, bound, orbit=None):
-        if k >= 3:
-            orbits_seen.append(orbit)
-        return run_level(m64, k, workers, pool, bound, orbit)
+    def recording(matrix, k, orbit, *rest):
+        assert k >= 3  # sizes 1 and 2 never reach the levels
+        orbits_seen.append(orbit)
+        return run_level(matrix, k, orbit, *rest)
 
-    def recording_range(m64, k, f_start, f_stop, bound=None, orbit=None):
-        if k >= 3:  # in this process, so with one worker
-            firsts_seen.extend(range(f_start, min(f_stop, m64.shape[1] - k + 1)))
-        return level_range(m64, k, f_start, f_stop, bound, orbit)
+    def recording_range(m64, k, f_start, f_stop, orbit, bound=None):
+        assert k >= 3  # in this process, so when the search runs here
+        firsts_seen.extend(range(f_start, min(f_stop, m64.shape[1] - k + 1)))
+        return level_range(m64, k, f_start, f_stop, orbit, bound)
 
     monkeypatch.setattr(dct, "_run_level", recording)
     monkeypatch.setattr(dct, "_search_level_range", recording_range)
@@ -656,9 +682,9 @@ def test_level_range_leaves_out_earlier_orbits():
     orbit 0's: the dependent set (1, 2, 3) is not searched, (1, 2, 4) is."""
     m64 = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 1, 2], [0, 0, 1, 1, 1]])
     orbit = np.array([0, 1, 2, 0, 4])
-    assert dct._search_level_range(m64, 3, 1, 2) == (1, 2, 3)
-    assert dct._search_level_range(m64, 3, 1, 2, None, orbit) == (1, 2, 4)
-    assert dct._search_level_range(m64, 3, 1, 3, None, orbit) == (1, 2, 4)
+    assert dct._search_level_range(m64, 3, 1, 2, np.arange(5)) == (1, 2, 3)
+    assert dct._search_level_range(m64, 3, 1, 2, orbit) == (1, 2, 4)
+    assert dct._search_level_range(m64, 3, 1, 3, orbit) == (1, 2, 4)
 
 
 def test_pool_starts_at_the_first_size_three_level(monkeypatch, q2_pair):
@@ -677,16 +703,50 @@ def test_pool_starts_at_the_first_size_three_level(monkeypatch, q2_pair):
     assert made == [2]
 
 
+def test_pool_is_sized_to_the_first_columns_of_size_three(monkeypatch):
+    """thm2 q=2 has 3 representatives among its size-3 first columns, so
+    64 requested workers get a pool of 3.  The stub records the request
+    but starts at most 2 processes."""
+    made = []
+
+    class Recording(dct.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+    monkeypatch.setattr(dct, "ProcessPoolExecutor", Recording)
+    d = build_dictionary("thm2", 2)
+    assert spark_bruteforce(d, 3, workers=64) == spark_bruteforce(d, 3)
+    assert made == [3]
+    # orbits {0, 1} and {2, 3}: column 0 is the only size-3 first column,
+    # so two workers search in process
+    m = np.array([[1, 0, 1, 1], [0, 1, 1, -1]], dtype=np.int8)
+    assert list(dct._column_orbits(m)[1]) == [0, 0, 2, 2]
+    res = spark_bruteforce(_as_dictionary(m), 3, workers=2)
+    assert (res.found_size, res.witness) == (3, (0, 1, 2))
+    assert made == [3]
+
+
+def test_bruteforce_rejects_fewer_than_one_worker(q2_pair):
+    d, _ = q2_pair
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"at least 1, got {workers}"):
+            spark_bruteforce(d, 3, workers=workers)
+
+
 def test_runs_of_first_columns():
     assert dct._runs(np.array([0, 1, 2, 5, 7, 8])) == [(0, 3), (5, 6), (7, 9)]
     assert dct._runs(np.array([4])) == [(4, 5)]
 
 
 def test_search_range_stops_below_the_root_once_the_bound_falls():
-    """At k = 4 the first column's check passes, then another chunk finds a
-    hit at first column 6: the next check, inside column 7's subtree,
-    stops the chunk instead of letting it finish the subtree."""
+    """At k = 4 and 5 the first column's check passes, then another chunk
+    finds a hit at first column 6: the next check, inside column 7's
+    subtree, stops the chunk instead of letting it finish the subtree.  At
+    k = 5 that check is at depth 1, above the batched depth k-3, and
+    expanding further children there would read the bound again."""
     m64 = _chunked_case().astype(np.int64)
+    own = np.arange(33)
 
     class Lowered:
         reads = 0
@@ -696,7 +756,13 @@ def test_search_range_stops_below_the_root_once_the_bound_falls():
             self.reads += 1
             return 33 if self.reads == 1 else 6
 
-    assert dct._search_level_range(m64, 4, 7, 8) == (7, 8, 9, 10)
+    assert dct._search_level_range(m64, 4, 7, 8, own) == (7, 8, 9, 10)
     lowered = Lowered()
-    assert dct._search_level_range(m64, 4, 7, 8, lowered) is None
+    assert dct._search_level_range(m64, 4, 7, 8, own, lowered) is None
+    assert lowered.reads == 2
+    want = _per_child_search(m64[:, 7:], tuple(range(7, 33)), 1, (), 5)
+    assert want is not None and want[0] == 7
+    assert dct._search_level_range(m64, 5, 7, 8, own) == want
+    lowered = Lowered()
+    assert dct._search_level_range(m64, 5, 7, 8, own, lowered) is None
     assert lowered.reads == 2
