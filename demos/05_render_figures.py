@@ -16,5 +16,6 @@ for family, q in (("thm1", 2), ("thm1", 4), ("thm2", 2)):
     built = sf.construct(family, q)
     d, x = built.dictionary, built.vector
     path = out_dir / f"figure_{family}_q{q}.svg"
-    path.write_text(render_svg(d.matrix, x.dense()))
+    with open(path, "wb") as f:
+        render_svg(d.matrix, x.dense(), f)
     print(f"wrote {path} ({d.dimension}x{d.n_cols} cells + vector strip)")

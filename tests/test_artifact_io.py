@@ -1,9 +1,14 @@
 """Artifact I/O against per-entry oracles: the buffer-built CSV, JSON and SVG
 writers must give the same bytes as one formatted string per entry, and the
 byte-level dictionary reader must give the same matrix, or the same error,
-as the per-token parse it falls back to."""
+as the per-token parse it falls back to.  The JSON and SVG writers stream
+into a binary file; at thm1 q=16 they must give the golden bytes of the
+benchmark and stay within a small memory peak."""
 
+import hashlib
+import io
 import json
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -123,6 +128,13 @@ def _built(family, q):
     return dictionaries.construct(family, q)
 
 
+def _text(writer, *args) -> str:
+    """What a streaming writer writes into a binary file, as text."""
+    out = io.BytesIO()
+    writer(*args, out)
+    return out.getvalue().decode()
+
+
 # ---------------------------------------------------------------------------
 # Writers
 # ---------------------------------------------------------------------------
@@ -133,15 +145,70 @@ def test_csv_and_json_match_oracles(family, q):
     built = _built(family, q)
     d, x = built.dictionary, built.vector
     assert cli.dictionary_csv(d) == dictionary_csv_oracle(d)
-    assert cli.dictionary_json(d, x) == dictionary_json_oracle(d, x)
+    assert _text(cli.dictionary_json, d, x) == dictionary_json_oracle(d, x)
 
 
 @pytest.mark.parametrize("family,q", [fq for fq in FAMILIES if fq != ("thm1", 16)])
 def test_svg_matches_oracle(family, q):
     built = _built(family, q)
     matrix, dense = built.dictionary.matrix, built.vector.dense()
-    assert cli.render_svg(matrix, dense) == render_svg_oracle(matrix, dense)
-    assert cli.render_svg(matrix) == render_svg_oracle(matrix)
+    assert _text(cli.render_svg, matrix, dense) == render_svg_oracle(matrix, dense)
+    assert _text(cli.render_svg, matrix, None) == render_svg_oracle(matrix)
+
+
+class _Sink:
+    """A binary file that keeps only the sha256 and the size of its bytes."""
+
+    def __init__(self):
+        self.sha256, self.size = hashlib.sha256(), 0
+
+    def write(self, data):
+        self.sha256.update(data)
+        self.size += len(data)
+        return len(data)
+
+
+def _q16_writes():
+    """The writer and its arguments, by kind, of the two streamed thm1 q=16
+    artifacts."""
+    built = _built("thm1", 16)
+    d, x = built.dictionary, built.vector
+    return {
+        "svg": (cli.render_svg, (d.matrix, x.dense())),
+        "json": (cli.dictionary_json, (d, x)),
+    }
+
+
+# sha256 of figure_thm1_q16.svg (render:thm1:q16) and dictionary_thm1_q16.json
+# (export:thm1:q16) in perfbench/golden.json
+Q16_SHA256 = {
+    "svg": "119dce57a4b58abfdc46a10742cc571351092a61e42845569c2ff635fce983b5",
+    "json": "427efee0bed356aab0ae95bb18261eba7dcb3d722003ad2ec24ae8a95b10ca4d",
+}
+
+
+@pytest.mark.parametrize("kind", ["svg", "json"])
+def test_thm1_q16_streams_the_golden_bytes(kind):
+    writer, args = _q16_writes()[kind]
+    sink = _Sink()
+    writer(*args, sink)
+    assert sink.sha256.hexdigest() == Q16_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind,limit_mb", [("svg", 16), ("json", 8)])
+def test_thm1_q16_writers_never_hold_the_whole_text(kind, limit_mb):
+    # the texts are 72 MB and 10 MB, more than the limits, so a writer that
+    # builds either text whole fails
+    writer, args = _q16_writes()[kind]
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        writer(*args, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > limit_mb * 10**6
+    assert peak < limit_mb * 10**6
 
 
 def _edge_vector(kind, n):
@@ -164,8 +231,8 @@ def test_edge_shapes_match_oracles(shape, vector):
     )
     x = dictionaries.SparseVector(shape[1], support, "thm1")
     assert cli.dictionary_csv(d) == dictionary_csv_oracle(d)
-    assert cli.dictionary_json(d, x) == dictionary_json_oracle(d, x)
-    assert cli.render_svg(matrix, dense) == render_svg_oracle(matrix, dense)
+    assert _text(cli.dictionary_json, d, x) == dictionary_json_oracle(d, x)
+    assert _text(cli.render_svg, matrix, dense) == render_svg_oracle(matrix, dense)
 
 
 @pytest.mark.parametrize("bad", [-2, 2])
@@ -180,9 +247,9 @@ def test_writers_reject_entries_outside_the_alphabet(bad):
     vector = _built("thm1", 2).vector
     for write in (
         lambda: cli.dictionary_csv(broken),
-        lambda: cli.dictionary_json(broken, vector),
-        lambda: cli.render_svg(matrix),
-        lambda: cli.render_svg(d.matrix, np.array([0] * 11 + [bad])),
+        lambda: _text(cli.dictionary_json, broken, vector),
+        lambda: _text(cli.render_svg, matrix, None),
+        lambda: _text(cli.render_svg, d.matrix, np.array([0] * 11 + [bad])),
     ):
         with pytest.raises(ValueError, match="outside"):
             write()

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: golden artifacts, exit codes, round
 trips, fault injection, rendering, and determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -191,6 +192,69 @@ def test_export_json_carries_layout(tmp_path):
     assert matrix.shape == (16, 48)
     support = payload["null_vector"]["support"]
     assert support == [[0, 1], [8, 1], [21, 1], [29, 1], [32, -1], [40, -1]]
+
+
+STREAMED = pytest.mark.parametrize(
+    ("argv", "writer", "artifact"),
+    [
+        (["render", "--family", "thm1", "--q", "4"], "render_svg",
+         "figure_thm1_q4.svg"),
+        (["export", "--family", "thm1", "--q", "4", "--format", "json"],
+         "dictionary_json", "dictionary_thm1_q4.json"),
+    ],
+    ids=["render", "export-json"],
+)
+
+
+class _DiskFullAfterFirstRow:
+    """A binary file that takes the head and the first row of an artifact,
+    then fails as a full disk does."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 2:
+            raise OSError(28, "No space left on device")
+        return self.f.write(data)
+
+
+@STREAMED
+def test_failed_streamed_write_leaves_no_file(
+    tmp_path, monkeypatch, capsys, argv, writer, artifact
+):
+    streamed = getattr(cli, writer)
+    writes = []
+
+    def failing(*args):
+        out = _DiskFullAfterFirstRow(args[-1])
+        writes.append(out)
+        streamed(*args[:-1], out)
+
+    monkeypatch.setattr(cli, writer, failing)
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert writes[0].writes == 3
+    assert not (tmp_path / artifact).exists()
+
+
+@STREAMED
+def test_bad_entry_is_refused_before_the_artifact_is_opened(
+    tmp_path, monkeypatch, capsys, argv, writer, artifact
+):
+    built = dictionaries.construct("thm1", 4)
+    matrix = built.dictionary.matrix.copy()
+    matrix[-1, -1] = 2
+    broken = dataclasses.replace(
+        built, dictionary=dataclasses.replace(built.dictionary, matrix=matrix)
+    )
+    monkeypatch.setattr(dictionaries, "construct", lambda family, q: broken)
+    old = tmp_path / artifact
+    old.write_bytes(b"an earlier artifact")
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "outside" in capsys.readouterr().err
+    assert old.read_bytes() == b"an earlier artifact"
 
 
 def test_reader_round_trip(tmp_path):

@@ -1,19 +1,25 @@
 """Smoke test: demos 01-04 and the README's library quickstart run to
-completion against the package in src/.
-
-Demo 05 is left out because it writes its figures into demos/output/.
+completion against the package in src/.  Demo 05 runs as a copy in a
+temporary directory, so its figures land there and not in demos/output/;
+they must equal the per-entry SVG oracle.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_artifact_io import render_svg_oracle
+
+import spark_forge as sf
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+RENDER_DEMO = ROOT / "demos" / "05_render_figures.py"
 README = ROOT / "README.md"
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def _quickstart() -> str:
@@ -23,19 +29,39 @@ def _quickstart() -> str:
 
 def test_demo_set_is_complete():
     assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04"]
+    assert sorted((ROOT / "demos").glob("*.py")) == [*DEMOS, RENDER_DEMO]
 
 
 @pytest.mark.parametrize("demo", DEMOS + [README], ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = [str(demo)] if demo.suffix == ".py" else ["-c", _quickstart()]
     proc = subprocess.run(
         [sys.executable, *code],
         cwd=ROOT,
-        env=env,
+        env=ENV,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_render_demo_writes_the_oracle_figures(tmp_path):
+    demo = Path(shutil.copy(RENDER_DEMO, tmp_path))
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    figures = [("thm1", 2), ("thm1", 4), ("thm2", 2)]
+    paths = [tmp_path / "output" / f"figure_{f}_q{q}.svg" for f, q in figures]
+    assert sorted((tmp_path / "output").iterdir()) == sorted(paths)
+    for (family, q), path in zip(figures, paths):
+        built = sf.construct(family, q)
+        expected = render_svg_oracle(built.dictionary.matrix, built.vector.dense())
+        assert path.read_bytes() == expected.encode()
