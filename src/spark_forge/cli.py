@@ -16,9 +16,11 @@ key-sorted JSON; two runs with the same inputs differ at most in the
 SVG figure and the JSON export go straight into the open output file, one
 matrix row at a time, so neither text is ever held whole: at thm1 q=16
 (72 MB of SVG, 10 MB of JSON) the writers peak at about 3.4 MiB and 0.3 MiB
-under tracemalloc.  A dictionary CSV exactly as written is read from bytes,
-checked by writing it back; other text gets the tolerant per-token parse,
-with the same result.
+under tracemalloc.  Every artifact is written to a temporary file beside
+it and renamed onto its path only once closed, so a failed write leaves
+an earlier artifact as it was.  A dictionary CSV exactly as written is
+read from bytes, checked by writing it back; other text gets the tolerant
+per-token parse, with the same result.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -26,6 +28,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -444,21 +447,22 @@ def _artifact_paths(out_dir: str, family: str, q: int) -> dict[str, Path]:
     }
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-    print(f"wrote {path}")
-
-
-def _write_rows(path: Path, writer, *args) -> None:
-    """`writer(*args, file)` into `path` opened in binary mode, so a large
-    artifact is written row by row and never held whole; if the writer
-    raises, the partial file is removed before the error propagates."""
-    f = open(path, "wb")
+def _write(path: Path, content) -> None:
+    """Write the artifact `path` whole or not at all.  `content` is its text,
+    or a function that writes it into an open binary file, so that a large
+    artifact is written row by row and never held whole.  A temporary
+    sibling with the same suffix is filled and closed, then replaces `path`;
+    if anything fails it is removed, and an earlier `path` keeps its bytes."""
+    tmp = path.with_name(f".{path.stem}.partial{path.suffix}")
     try:
-        with f:
-            writer(*args, f)
-    except BaseException:  # the flush on closing can fail too
-        path.unlink(missing_ok=True)
+        if isinstance(content, str):
+            tmp.write_text(content)
+        else:
+            with open(tmp, "wb") as f:
+                content(f)
+        os.replace(tmp, path)
+    except BaseException:  # an interrupt too: no temporary file is left
+        tmp.unlink(missing_ok=True)
         raise
     print(f"wrote {path}")
 
@@ -621,11 +625,7 @@ def _cmd_render(args) -> int:
     dictionary, vector, _ = _load_inputs(args)
     path = _artifact_paths(args.out_dir, dictionary.family, dictionary.q)["figure"]
     dense = vector.dense() if vector is not None else None
-    # checked before the file is opened, so a bad entry leaves any old file
-    for values in (dictionary.matrix, dense):
-        if values is not None:
-            _entry_index(values)
-    _write_rows(path, render_svg, dictionary.matrix, dense)
+    _write(path, functools.partial(render_svg, dictionary.matrix, dense))
     return 0
 
 
@@ -636,8 +636,7 @@ def _cmd_export(args) -> int:
     if args.format == "csv":
         _write_csv_pair(paths, dictionary, vector)
     else:
-        _entry_index(dictionary.matrix)  # before the file is opened, as in render
-        _write_rows(paths["json"], dictionary_json, dictionary, vector)
+        _write(paths["json"], functools.partial(dictionary_json, dictionary, vector))
     return 0
 
 

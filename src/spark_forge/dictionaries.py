@@ -17,8 +17,9 @@ every node by one fraction-free (division-exact) integer update, settling
 the last two columns of each subset by comparing gcd-normalised integer
 columns.  It starts subsets only at one column per orbit of the signed
 column permutations that XOR translations and Sylvester sign modulations
-of the rows induce; each such symmetry is checked exactly on the matrix
-at run time, and the witness is still the lex-least dependent subset.
+of the rows induce, one search task per such representative; each
+symmetry is checked exactly on the matrix at run time, and the witness is
+still the lex-least dependent subset.
 `gram_check` reads the block Gram strips of `mub.gram_strips` once and
 yields the orthonormality and unbiasedness checks together with the
 coherence; the strips are float32 BLAS products, exact because every entry
@@ -266,14 +267,16 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # at a representative r use only columns whose orbit's least index is at
 # least r.
 #
-# One loop searches runs of first columns in order, in process or in a
-# worker.  A pool splits a level into chunks of first columns, read back in
+# One loop searches representatives in ascending order, in process or in a
+# worker: each representative r roots one `_descend` call over the columns
+# whose orbit's least index is at least r, with r as its only first column.
+# A pool splits a level into chunks of representatives, read back in
 # ascending order.  A chunk that finds a hit lowers a shared bound to the
 # hit's first column, and every chunk stops, at its next node, once its
 # first column passes the bound: the lex-least witness has the smallest
 # first column of any hit, so no chunk that could hold it is cut short, and
 # the witness does not depend on the worker count.  A pool has no more
-# processes than size 3 has first columns, the most chunks of any level.
+# processes than size 3 has representatives, the most chunks of any level.
 
 # int64 entries in one batched update; caps the search's memory per batch
 _BATCH_ELEMENTS = 2**16
@@ -327,22 +330,22 @@ def _past(bound, first):
     return bound is not None and first > bound.value
 
 
-def _descend(cols, ids, prev_piv, prefix, k, t_stop, bound):
+def _descend(cols, ids, prev_piv, prefix, k, bound):
     """Lex-least completion of `prefix` to a dependent k-set (k >= 3) by the
-    reduced columns `cols` (one per row, matrix indices `ids`), the next one
-    at a position below t_stop; stops once the subset's first column
-    (`prefix[0]`, or the next one's index at the root) passes `bound`."""
+    reduced columns `cols` (one per row, matrix indices `ids`); at the root,
+    with `prefix` empty, the first column is ids[0] alone.  Stops once the
+    subset's first column passes `bound`."""
     m = len(cols)
     depth = len(prefix)
-    first = prefix[0] if prefix else None
+    first = prefix[0] if prefix else ids[0]
     last = depth == k - 3
     lead = (cols != 0).argmax(axis=1)
     # a zero column t has pivot 0: its update is zero, masked or skipped
     piv = cols[np.arange(m), lead]
-    t_stop = min(t_stop, m - (k - depth - 1))
+    t_end = min(m - (k - depth - 1), m if prefix else 1)
     t0 = 0
-    while t0 < t_stop:
-        if _past(bound, ids[t0] if first is None else first):
+    while t0 < t_end:
+        if _past(bound, first):
             return None
         if not last and piv[t0] == 0:
             t0 += 1
@@ -350,7 +353,7 @@ def _descend(cols, ids, prev_piv, prefix, k, t_stop, bound):
         rest = cols[t0 + 1 :]
         t1 = t0 + 1  # one child above depth k-3, a batch at it
         if last:
-            t1 = min(t_stop, t0 + max(1, _BATCH_ELEMENTS // rest.size))
+            t1 = min(t_end, t0 + max(1, _BATCH_ELEMENTS // rest.size))
         ts = np.arange(t0, t1)
         # fraction-free update of every column after t0 by each child t:
         # entries stay (depth+2)-minors of the matrix
@@ -361,30 +364,35 @@ def _descend(cols, ids, prev_piv, prefix, k, t_stop, bound):
         if last:
             hit = _first_parallel(upd, ts - t0)  # child t keeps columns > t
             if hit is not None:
-                t = t0 + hit[0]
-                if _past(bound, ids[t] if first is None else first):
+                if _past(bound, first):
                     return None
-                u, w = t0 + 1 + hit[1], t0 + 1 + hit[2]
+                t, u, w = t0 + hit[0], t0 + 1 + hit[1], t0 + 1 + hit[2]
                 return prefix + (int(ids[t]), int(ids[u]), int(ids[w]))
         else:
             # a copy, not a view of upd: fewer page faults in pool workers
             child = prefix + (int(ids[t0]),)
-            res = _descend(upd[0].copy(), ids[t1:], int(piv[t0]), child, k, m, bound)
+            res = _descend(upd[0].copy(), ids[t1:], int(piv[t0]), child, k, bound)
             if res is not None:
                 return res
         t0 = t1
     return None
 
 
-def _search_level_range(m64, k, f_start, f_stop, orbit, bound=None):
-    """Lex-least dependent subset of exact size k >= 3 with first column
-    index in [f_start, f_stop); proper subsets are assumed independent.
-    `m64` is int64, every column in [f_start, f_stop) is a representative
-    of `orbit`, and the other columns are only those whose orbit's least
-    index is at least f_start."""
-    ids = np.flatnonzero(orbit >= f_start)
-    t_stop = min(f_stop, m64.shape[1] - k + 1) - f_start
-    return _descend(m64.T[ids], ids, 1, (), k, t_stop, bound)
+def _search_reps(m64, k, reps, orbit, bound=None):
+    """Lex-least dependent subset of exact size k >= 3 whose first column is
+    one of the ascending representatives `reps` of `orbit`, or None; proper
+    subsets are assumed independent.  `m64` is int64, and a subset that
+    starts at r keeps to the columns whose orbit's least index is at least
+    r.  A hit lowers the shared `bound`, if any, to its first column."""
+    for r in reps:
+        ids = np.flatnonzero(orbit >= r)
+        res = _descend(m64.T[ids], ids, 1, (), k, bound)
+        if res is not None:
+            if bound is not None:
+                with bound.get_lock():
+                    bound.value = min(bound.value, r)
+            return res
+    return None
 
 
 def _column_orbits(matrix):
@@ -464,37 +472,19 @@ def _column_orbits(matrix):
 
 
 _WORKER_MATRIX = None
+_WORKER_ORBIT = None
 _WORKER_BOUND = None
 
 
-def _init_worker(matrix_int8, bound):
-    global _WORKER_MATRIX, _WORKER_BOUND
+def _init_worker(matrix_int8, orbit, bound):
+    global _WORKER_MATRIX, _WORKER_ORBIT, _WORKER_BOUND
     _WORKER_MATRIX = matrix_int8.astype(np.int64)
+    _WORKER_ORBIT = orbit
     _WORKER_BOUND = bound
 
 
-def _search_runs(m64, k, runs, orbit, bound=None):
-    """First hit of `_search_level_range` over the (start, stop) runs of
-    first columns, in order; a hit lowers the shared `bound`, if any."""
-    for f_start, f_stop in runs:
-        res = _search_level_range(m64, k, f_start, f_stop, orbit, bound)
-        if res is not None:
-            if bound is not None:
-                with bound.get_lock():
-                    bound.value = min(bound.value, res[0])
-            return res
-    return None
-
-
-def _worker_runs(k, runs, orbit):
-    return _search_runs(_WORKER_MATRIX, k, runs, orbit, _WORKER_BOUND)
-
-
-def _runs(firsts):
-    """Maximal runs of consecutive ints in the ascending array `firsts`, as
-    (start, stop) pairs."""
-    cuts = np.flatnonzero(np.diff(firsts) != 1) + 1
-    return [(int(r[0]), int(r[-1]) + 1) for r in np.split(firsts, cuts)]
+def _worker_reps(k, reps):
+    return _search_reps(_WORKER_MATRIX, k, reps, _WORKER_ORBIT, _WORKER_BOUND)
 
 
 def _run_level(matrix, k, orbit, workers, pool, bound):
@@ -502,20 +492,20 @@ def _run_level(matrix, k, orbit, workers, pool, bound):
     None.  Subsets start only at the representatives of `orbit` (from
     `_column_orbits`) and keep to their own and later orbits.  Without a
     pool, `matrix` is int64 and searched here; with one, only its shape is
-    read, and `workers` worker processes, holding their own int64 copy,
-    search chunks of first columns."""
+    read, and `workers` worker processes, holding their own int64 copy and
+    the orbit labels, search chunks of representatives."""
     n = matrix.shape[1]
     firsts = np.arange(n - k + 1)
-    firsts = firsts[orbit[: n - k + 1] == firsts]  # holds column 0
+    reps = firsts[orbit[: n - k + 1] == firsts].tolist()  # holds column 0
     if pool is None:
-        return _search_runs(matrix, k, _runs(firsts), orbit)
+        return _search_reps(matrix, k, reps, orbit)
     bound.value = n  # no hit yet at this level
-    chunk = max(1, -(-firsts.size // (workers * 4)))
+    chunk = max(1, -(-len(reps) // (workers * 4)))
     futures = [
-        pool.submit(_worker_runs, k, _runs(firsts[s : s + chunk]), orbit)
-        for s in range(0, firsts.size, chunk)
+        pool.submit(_worker_reps, k, reps[s : s + chunk])
+        for s in range(0, len(reps), chunk)
     ]
-    for fut in futures:  # ascending first-index order re-establishes lex order
+    for fut in futures:  # ascending representatives re-establish lex order
         res = fut.result()
         if res is not None:
             return res  # chunks still queued are dropped at pool shutdown
@@ -561,10 +551,12 @@ def spark_bruteforce(
     witness.  The budget caps the total number of subsets the search is
     allowed to plan for (a priori, by binomial counts), degrading k_max
     rather than aborting mid-run; it must cover at least the single
-    columns.  Raises ValueError when workers is below 1 or the int64
-    elimination could overflow at the planned depth, and RuntimeError if a
-    witness fails its exact rank re-check.
+    columns.  Raises ValueError when k_max or workers is below 1 or the
+    int64 elimination could overflow at the planned depth, and RuntimeError
+    if a witness fails its exact rank re-check.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     n = dictionary.n_cols
@@ -607,7 +599,7 @@ def spark_bruteforce(
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(matrix, bound),
+                initargs=(matrix, orbit, bound),
             )
         else:
             matrix = matrix.astype(np.int64)

@@ -257,6 +257,40 @@ def test_bad_entry_is_refused_before_the_artifact_is_opened(
     assert old.read_bytes() == b"an earlier artifact"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "thm1", "--q", "4"],
+        ["render", "--family", "thm1", "--q", "4"],
+        ["export", "--family", "thm1", "--q", "4", "--format", "json"],
+    ],
+    ids=["construct-csv", "render", "export-json"],
+)
+def test_failed_write_keeps_the_earlier_artifact(tmp_path, monkeypatch, capsys, argv):
+    """A write that fails part way, text or streamed, leaves the artifacts of
+    an earlier run byte for byte, and no temporary file beside them."""
+    argv = argv + ["--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write_text = Path.write_text
+
+    def half_then_full(path, text):
+        write_text(path, text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_full)
+    for name in ("render_svg", "dictionary_json"):
+
+        def failing(*args, streamed=getattr(cli, name)):
+            streamed(*args[:-1], _DiskFullAfterFirstRow(args[-1]))
+
+        monkeypatch.setattr(cli, name, failing)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
+
+
 def test_reader_round_trip(tmp_path):
     main(["construct", "--family", "thm1", "--q", "4", "--out-dir", str(tmp_path)])
     d = read_dictionary(tmp_path / "dictionary_thm1_q4.csv")

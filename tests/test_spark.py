@@ -2,6 +2,7 @@
 rational-arithmetic oracles."""
 
 import itertools
+import multiprocessing
 from fractions import Fraction
 
 import numpy as np
@@ -268,29 +269,27 @@ def test_bruteforce_witness_in_later_chunk_than_quick_hit():
 def test_search_range_stops_past_the_shared_bound(monkeypatch):
     m64 = _chunked_case().astype(np.int64)
     own = np.arange(33)  # every column its own orbit
+    bound = multiprocessing.Value("q", 33)
 
-    class Bound:
-        value = 33
+    assert dct._search_reps(m64, 3, range(4, 8), own, bound) == (7, 30, 32)
+    assert bound.value == 7  # the hit lowered the shared bound to its root
+    # a hit at first column 7 does not cut column 7 short
+    assert dct._search_reps(m64, 3, range(4, 8), own, bound) == (7, 30, 32)
+    bound.value = 5  # a hit at first column 5 would beat anything here
+    assert dct._search_reps(m64, 3, range(4, 8), own, bound) is None
+    assert dct._search_reps(m64, 3, range(8, 12), own, bound) is None
+    assert bound.value == 5
 
-    assert dct._search_level_range(m64, 3, 4, 8, own, Bound) == (7, 30, 32)
-    Bound.value = 7  # a hit at first column 7 does not cut column 7 short
-    assert dct._search_level_range(m64, 3, 4, 8, own, Bound) == (7, 30, 32)
-    Bound.value = 5  # a hit at first column 5 would beat anything here
-    assert dct._search_level_range(m64, 3, 4, 8, own, Bound) is None
-    assert dct._search_level_range(m64, 3, 8, 12, own, Bound) is None
-
-    # The bound falls inside a batch of the k = 3 root.  By default first
-    # columns 4..11 make one batch (8 rows x 28 later columns per child); a
-    # cap of 3 * 224 entries cuts them into batches of three, and a cap of 1
-    # into single children.  The batch holding the hit (7, 30, 32) starts at
-    # or before the bound, yet the hit is past it and must not be returned.
+    # A k = 3 root's batch holds its one child under any cap: the default,
+    # 3 * 224 entries (three children of 8 rows x 28 later columns) or 1.
+    # The bound is read before each root, so no root past it is settled.
     default = dct._BATCH_ELEMENTS
     for cap in (default, 3 * 224, 1):
         monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
-        Bound.value = 6
-        assert dct._search_level_range(m64, 3, 4, 12, own, Bound) is None
-        Bound.value = 7
-        assert dct._search_level_range(m64, 3, 4, 12, own, Bound) == (7, 30, 32)
+        bound.value = 6
+        assert dct._search_reps(m64, 3, range(4, 12), own, bound) is None
+        bound.value = 7
+        assert dct._search_reps(m64, 3, range(4, 12), own, bound) == (7, 30, 32)
 
     class Lowered:
         """Reads 33 at the first check, then 6: another chunk found a hit at
@@ -304,7 +303,12 @@ def test_search_range_stops_past_the_shared_bound(monkeypatch):
             return 33 if self.reads == 1 else 6
 
     monkeypatch.setattr(dct, "_BATCH_ELEMENTS", default)
-    assert dct._search_level_range(m64, 3, 4, 12, own, Lowered()) is None
+    assert dct._search_reps(m64, 3, range(4, 12), own, Lowered()) is None
+    # at root 7 alone, the check before its batch passes and the one after
+    # the hit (7, 30, 32) reads the lowered bound
+    lowered = Lowered()
+    assert dct._search_reps(m64, 3, [7], own, lowered) is None
+    assert lowered.reads == 2
 
 
 def _pair(reduced):
@@ -433,7 +437,7 @@ def test_batched_nodes_match_the_per_child_loop(monkeypatch):
             for cap in (1, 3, 2 * m.size, default):
                 monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
                 with np.errstate(all="raise"):  # no division by a zero pivot
-                    got = dct._search_level_range(m, k, 0, n, np.arange(n))
+                    got = dct._search_reps(m, k, range(n), np.arange(n))
                 assert got == want, (trial, k, cap, m)
     assert inner_zero >= 50, inner_zero
 
@@ -638,20 +642,20 @@ def test_rooted_levels_on_symmetric_matrices(monkeypatch):
     skipped first columns and witnesses holding non-representatives."""
     rng = np.random.default_rng(9)
     orbits_seen, firsts_seen = [], []
-    run_level, level_range = dct._run_level, dct._search_level_range
+    run_level, search_reps = dct._run_level, dct._search_reps
 
     def recording(matrix, k, orbit, *rest):
         assert k >= 3  # sizes 1 and 2 never reach the levels
         orbits_seen.append(orbit)
         return run_level(matrix, k, orbit, *rest)
 
-    def recording_range(m64, k, f_start, f_stop, orbit, bound=None):
+    def recording_reps(m64, k, reps, orbit, bound=None):
         assert k >= 3  # in this process, so when the search runs here
-        firsts_seen.extend(range(f_start, min(f_stop, m64.shape[1] - k + 1)))
-        return level_range(m64, k, f_start, f_stop, orbit, bound)
+        firsts_seen.extend(reps)
+        return search_reps(m64, k, reps, orbit, bound)
 
     monkeypatch.setattr(dct, "_run_level", recording)
-    monkeypatch.setattr(dct, "_search_level_range", recording_range)
+    monkeypatch.setattr(dct, "_search_reps", recording_reps)
     hits = past_skipped = mixed = 0
     for trial in range(100):
         m = _symmetric_planted(rng)
@@ -682,9 +686,46 @@ def test_level_range_leaves_out_earlier_orbits():
     orbit 0's: the dependent set (1, 2, 3) is not searched, (1, 2, 4) is."""
     m64 = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 1, 2], [0, 0, 1, 1, 1]])
     orbit = np.array([0, 1, 2, 0, 4])
-    assert dct._search_level_range(m64, 3, 1, 2, np.arange(5)) == (1, 2, 3)
-    assert dct._search_level_range(m64, 3, 1, 2, orbit) == (1, 2, 4)
-    assert dct._search_level_range(m64, 3, 1, 3, orbit) == (1, 2, 4)
+    assert dct._search_reps(m64, 3, [1], np.arange(5)) == (1, 2, 3)
+    assert dct._search_reps(m64, 3, [1], orbit) == (1, 2, 4)
+    assert dct._search_reps(m64, 3, [1, 2], orbit) == (1, 2, 4)
+
+
+def test_each_representative_roots_its_own_search(monkeypatch):
+    """thm1 q=8 at k = 3, in process: the roots are exactly the 21
+    representatives, the five consecutive ones 512-516 included, and the
+    root at r searches the columns whose orbit's least index is at least r."""
+    d = build_dictionary("thm1", 8)
+    orbit = dct._column_orbits(d.matrix)[1]
+    reps = np.flatnonzero(orbit == np.arange(d.n_cols))
+    assert reps.size == 21 and set(range(512, 517)) <= set(reps.tolist())
+    descend, roots = dct._descend, []
+
+    def recording(cols, ids, prev_piv, prefix, k, bound):
+        if not prefix:
+            roots.append(ids)
+        return descend(cols, ids, prev_piv, prefix, k, bound)
+
+    monkeypatch.setattr(dct, "_descend", recording)
+    res = spark_bruteforce(d, 3, workers=1)
+    assert res.k_checked == 3 and res.found_size is None
+    assert [int(ids[0]) for ids in roots] == reps.tolist()
+    for ids in roots:
+        assert np.array_equal(ids, np.flatnonzero(orbit >= ids[0]))
+
+
+def test_row_permuted_thm1_q4_roots_every_column():
+    """Permuting the rows of thm1 q=4 keeps every column dependency but no
+    candidate transform, so every column is a root: the symmetry-free
+    search at a shipped size gives the rooted search's result."""
+    d = build_dictionary("thm1", 4)
+    m = d.matrix[np.random.default_rng(0).permutation(d.dimension)]
+    kept, orbit = dct._column_orbits(m)
+    assert kept == [] and np.array_equal(orbit, np.arange(d.n_cols))
+    want = spark_bruteforce(d, 5)
+    assert want.witness == (0, 16, 37, 53, 69)
+    for workers in (1, 2):
+        assert spark_bruteforce(_as_dictionary(m), 5, workers=workers) == want
 
 
 def test_pool_starts_at_the_first_size_three_level(monkeypatch, q2_pair):
@@ -734,9 +775,11 @@ def test_bruteforce_rejects_fewer_than_one_worker(q2_pair):
             spark_bruteforce(d, 3, workers=workers)
 
 
-def test_runs_of_first_columns():
-    assert dct._runs(np.array([0, 1, 2, 5, 7, 8])) == [(0, 3), (5, 6), (7, 9)]
-    assert dct._runs(np.array([4])) == [(4, 5)]
+def test_bruteforce_rejects_k_max_below_one(q2_pair):
+    d, _ = q2_pair
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match=f"k_max must be at least 1, got {k_max}"):
+            spark_bruteforce(d, k_max)
 
 
 def test_search_range_stops_below_the_root_once_the_bound_falls():
@@ -756,13 +799,13 @@ def test_search_range_stops_below_the_root_once_the_bound_falls():
             self.reads += 1
             return 33 if self.reads == 1 else 6
 
-    assert dct._search_level_range(m64, 4, 7, 8, own) == (7, 8, 9, 10)
+    assert dct._search_reps(m64, 4, [7], own) == (7, 8, 9, 10)
     lowered = Lowered()
-    assert dct._search_level_range(m64, 4, 7, 8, own, lowered) is None
+    assert dct._search_reps(m64, 4, [7], own, lowered) is None
     assert lowered.reads == 2
     want = _per_child_search(m64[:, 7:], tuple(range(7, 33)), 1, (), 5)
     assert want is not None and want[0] == 7
-    assert dct._search_level_range(m64, 5, 7, 8, own) == want
+    assert dct._search_reps(m64, 5, [7], own) == want
     lowered = Lowered()
-    assert dct._search_level_range(m64, 5, 7, 8, own, lowered) is None
+    assert dct._search_reps(m64, 5, [7], own, lowered) is None
     assert lowered.reads == 2
