@@ -68,11 +68,17 @@ class ScaledDictionary:
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Signed support of a vector in the dictionary's coefficient space."""
+    """Signed support of a vector in the dictionary's coefficient space;
+    raises ValueError if a support index repeats or is outside [0, length)."""
 
     length: int
     support: tuple[tuple[int, int], ...]  # (index, value), ascending, values +-1
     family: str
+
+    def __post_init__(self):
+        ids = {i for i, _ in self.support}
+        if len(ids) < len(self.support) or not all(0 <= i < self.length for i in ids):
+            raise ValueError(f"support indices repeat or leave [0, {self.length})")
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.length, dtype=np.int64)
@@ -231,9 +237,12 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # when they are nonzero and parallel.  Each column is divided by the gcd of
 # its entries and signed so its first nonzero entry is positive, and its
 # entries are read as one byte key: equal keys are equal columns, so the
-# test is exact, and one stable argsort finds the lex-least pair.  Sizes 1
-# and 2 are one call each on an int16 copy of the matrix, which negates any
-# int8 entry exactly.
+# test is exact, and one stable argsort finds the lex-least pair.  Every
+# step reads one int16 table with one row per column, which holds each
+# entry and its negative exactly, as `_check_minor_bound` ensures at every
+# k_max: sizes 1 and 2 are one call each on it, the orbit pass keys its
+# rows, each search root widens the rows it covers to int64, and the pool's
+# workers receive it as it is.
 #
 # From size 3 on the search walks prefixes in lexicographic order, and one
 # routine, `_descend`, expands a node at every depth: one fraction-free
@@ -270,6 +279,7 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # One loop searches representatives in ascending order, in process or in a
 # worker: each representative r roots one `_descend` call over the columns
 # whose orbit's least index is at least r, with r as its only first column.
+# The representatives are found once per search.
 # A pool splits a level into chunks of representatives, read back in
 # ascending order.  A chunk that finds a hit lowers a shared bound to the
 # hit's first column, and every chunk stops, at its next node, once its
@@ -378,15 +388,16 @@ def _descend(cols, ids, prev_piv, prefix, k, bound):
     return None
 
 
-def _search_reps(m64, k, reps, orbit, bound=None):
+def _search_reps(cols, k, reps, orbit, bound=None):
     """Lex-least dependent subset of exact size k >= 3 whose first column is
     one of the ascending representatives `reps` of `orbit`, or None; proper
-    subsets are assumed independent.  `m64` is int64, and a subset that
-    starts at r keeps to the columns whose orbit's least index is at least
-    r.  A hit lowers the shared `bound`, if any, to its first column."""
+    subsets are assumed independent.  `cols` is the int16 column table, and
+    a subset that starts at r keeps to the columns whose orbit's least index
+    is at least r, widened to int64.  A hit lowers the shared `bound`, if
+    any, to its first column."""
     for r in reps:
         ids = np.flatnonzero(orbit >= r)
-        res = _descend(m64.T[ids], ids, 1, (), k, bound)
+        res = _descend(cols[ids].astype(np.int64), ids, 1, (), k, bound)
         if res is not None:
             if bound is not None:
                 with bound.get_lock():
@@ -395,9 +406,10 @@ def _search_reps(m64, k, reps, orbit, bound=None):
     return None
 
 
-def _column_orbits(matrix):
-    """Exact column symmetries of `matrix` among the candidate row
-    transforms, and the column orbits they generate.
+def _column_orbits(cols):
+    """Exact column symmetries of the int16 column table `cols` (one row
+    per column) among the candidate row transforms, and the column orbits
+    they generate.
 
     Returns (kept, orbit).  `kept` lists, in the order tried, the transforms
     ("xor", a), row i -> row i ^ a, and ("mod", a), row i times
@@ -406,14 +418,13 @@ def _column_orbits(matrix):
     orbit.  Only row counts 2..2^MAX_DEGREE that are powers of two, and
     nonzero columns pairwise distinct up to sign, are tried; any other
     matrix gets no transform and single-column orbits.  Entries must have
-    magnitude below 2^15, as `_check_minor_bound` ensures for any search
-    that reaches size 3.
+    magnitude below 2^15, as `_check_minor_bound` ensures for every search,
+    so that negation is exact.
     """
-    rows, n = matrix.shape
+    n, rows = cols.shape
     orbit = np.arange(n)
     if not 2 <= rows <= 1 << MAX_DEGREE or rows & (rows - 1):
         return [], orbit
-    cols = np.ascontiguousarray(matrix.T, dtype=np.int16)  # exact, negation too
     ranked = np.concatenate([cols, -cols])  # row n + j is column j negated
     key = np.dtype((np.void, 2 * rows))
     order = np.argsort(ranked.view(key).ravel())
@@ -471,34 +482,31 @@ def _column_orbits(matrix):
     return kept, orbit
 
 
-_WORKER_MATRIX = None
+_WORKER_COLS = None
 _WORKER_ORBIT = None
 _WORKER_BOUND = None
 
 
-def _init_worker(matrix_int8, orbit, bound):
-    global _WORKER_MATRIX, _WORKER_ORBIT, _WORKER_BOUND
-    _WORKER_MATRIX = matrix_int8.astype(np.int64)
-    _WORKER_ORBIT = orbit
-    _WORKER_BOUND = bound
+def _init_worker(cols, orbit, bound):
+    global _WORKER_COLS, _WORKER_ORBIT, _WORKER_BOUND
+    _WORKER_COLS, _WORKER_ORBIT, _WORKER_BOUND = cols, orbit, bound
 
 
 def _worker_reps(k, reps):
-    return _search_reps(_WORKER_MATRIX, k, reps, _WORKER_ORBIT, _WORKER_BOUND)
+    return _search_reps(_WORKER_COLS, k, reps, _WORKER_ORBIT, _WORKER_BOUND)
 
 
-def _run_level(matrix, k, orbit, workers, pool, bound):
-    """Lex-least dependent k-subset (k >= 3) of the columns of `matrix`, or
-    None.  Subsets start only at the representatives of `orbit` (from
-    `_column_orbits`) and keep to their own and later orbits.  Without a
-    pool, `matrix` is int64 and searched here; with one, only its shape is
-    read, and `workers` worker processes, holding their own int64 copy and
-    the orbit labels, search chunks of representatives."""
-    n = matrix.shape[1]
-    firsts = np.arange(n - k + 1)
-    reps = firsts[orbit[: n - k + 1] == firsts].tolist()  # holds column 0
+def _run_level(cols, k, orbit, reps, workers, pool, bound):
+    """Lex-least dependent k-subset (k >= 3) of the int16 column table
+    `cols`, or None.  Subsets start only at those ascending representatives
+    `reps` of `orbit` (from `_column_orbits`) that leave room for k - 1 later
+    columns, and keep to their own and later orbits.  Without a pool they
+    are searched here; with one, `workers` processes holding the same table
+    and labels search chunks of them."""
+    n = len(cols)
+    reps = reps[reps <= n - k].tolist()  # holds column 0
     if pool is None:
-        return _search_reps(matrix, k, reps, orbit)
+        return _search_reps(cols, k, reps, orbit)
     bound.value = n  # no hit yet at this level
     chunk = max(1, -(-len(reps) // (workers * 4)))
     futures = [
@@ -513,9 +521,12 @@ def _run_level(matrix, k, orbit, workers, pool, bound):
 
 
 def _check_minor_bound(matrix, k):
-    """Refuse a search to size k whose int64 elimination could overflow.
+    """Refuse a search to size k whose int16 column table or int64
+    elimination could overflow.
 
-    The deepest minors the elimination (and the witness re-check) forms have
+    Every search reads the table, which holds an entry and its negative
+    exactly only below magnitude 2^15, so that is checked at every k.  The
+    deepest minors the elimination (and the witness re-check) forms have
     order j = min(k - 1, rows); Hadamard's bound caps them at a^j * j^(j/2)
     for entries of magnitude at most a, and an update subtracts two products
     of such minors, so 2 * bound^2 must stay below 2^63.  The batched update
@@ -524,11 +535,12 @@ def _check_minor_bound(matrix, k):
     still the difference of two products of (depth+1)-minors, so the same
     bound covers it.
     """
+    # abs() would wrap at the dtype's minimum; `initial` covers no entries
+    a = max(-int(matrix.min(initial=0)), int(matrix.max(initial=0)))
+    if a >= 2**15:
+        raise ValueError(f"entry of magnitude {a} >= 2^15 does not fit the int16 table")
     j = min(k - 1, matrix.shape[0])
-    if j < 1:
-        return
-    a = max(-int(matrix.min()), int(matrix.max()))  # abs() would wrap at -128
-    if 2 * a ** (2 * j) * j**j >= 2**63:
+    if j >= 1 and 2 * a ** (2 * j) * j**j >= 2**63:
         raise ValueError(
             f"a search to size {k} could overflow int64: twice the square of "
             f"Hadamard's bound on the {j}-minors ({a}^{j} * {j}^({j}/2)) is "
@@ -551,9 +563,10 @@ def spark_bruteforce(
     witness.  The budget caps the total number of subsets the search is
     allowed to plan for (a priori, by binomial counts), degrading k_max
     rather than aborting mid-run; it must cover at least the single
-    columns.  Raises ValueError when k_max or workers is below 1 or the
-    int64 elimination could overflow at the planned depth, and RuntimeError
-    if a witness fails its exact rank re-check.
+    columns.  Raises ValueError when k_max or workers is below 1, an entry
+    has magnitude 2^15 or more, or the int64 elimination could overflow at
+    the planned depth, and RuntimeError if a witness fails its exact rank
+    re-check.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -576,36 +589,33 @@ def spark_bruteforce(
         k_checked = k
     _check_minor_bound(dictionary.matrix, k_checked)
 
-    # sizes 1 and 2 compare the columns themselves (int16 negates any int8)
-    small = dictionary.matrix.astype(np.int16)
-    zero = np.flatnonzero(~small.any(axis=0))
+    # the one copy of the matrix that the search reads, exact by the guard
+    cols = np.ascontiguousarray(dictionary.matrix.T, dtype=np.int16)
+    zero = np.flatnonzero(~cols.any(axis=1))
     pair = None
     if k_checked >= 2 and zero.size == 0:
-        pair = _first_parallel(small.T[None], np.zeros(1, dtype=np.int64))
+        pair = _first_parallel(cols[None], np.zeros(1, dtype=np.int64))
     found_size = witness = None
-    if k_checked >= 1 and zero.size:
+    if zero.size:  # k_checked >= 1 whenever there is a column
         found_size, witness = 1, (int(zero[0]),)
     elif pair is not None:
         found_size, witness = 2, pair[1:]
     elif k_checked >= 3:
-        # the columns are nonzero and pairwise distinct up to sign, as the
-        # orbit pass needs; with a pool, the workers hold the int64 copies
-        orbit = _column_orbits(dictionary.matrix)[1]
-        firsts = orbit[: n - 2] == np.arange(n - 2)  # of the size-3 subsets
-        workers = min(workers, int(firsts.sum()))
-        matrix, pool, bound = dictionary.matrix, None, None
+        # nonzero columns, pairwise distinct up to sign, as the orbit pass needs
+        orbit = _column_orbits(cols)[1]
+        reps = np.flatnonzero(orbit == np.arange(n))
+        workers = min(workers, int((reps <= n - 3).sum()))  # size 3 has most
+        pool = bound = None
         if workers > 1:
             bound = multiprocessing.Value("q", n)
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(matrix, orbit, bound),
+                initargs=(cols, orbit, bound),
             )
-        else:
-            matrix = matrix.astype(np.int64)
         try:
             for k in range(3, k_checked + 1):
-                witness = _run_level(matrix, k, orbit, workers, pool, bound)
+                witness = _run_level(cols, k, orbit, reps, workers, pool, bound)
                 if witness is not None:
                     found_size = k
                     break
@@ -623,7 +633,7 @@ def spark_bruteforce(
 
 def exact_rank(matrix) -> int:
     """Rank over the rationals by fraction-free elimination on integers."""
-    m = np.array(matrix, dtype=np.int64).copy()
+    m = np.array(matrix, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError("exact_rank expects a 2-d matrix")
     rank = 0
@@ -661,8 +671,6 @@ class SparkCertificate:
     exhaustive search has cleared everything below it.
     """
 
-    family: str
-    q: int
     coherence: Fraction
     general_bound: Fraction
     union_bound: Fraction
@@ -736,18 +744,8 @@ def spark_certify(
         eta_mu = spark * mu
         relation = "==" if Fraction(spark) == general else ">"
     return SparkCertificate(
-        dictionary.family,
-        dictionary.q,
-        mu,
-        general,
-        union,
-        upper,
-        lower,
-        spark,
-        certified_by,
-        brute_force,
-        eta_mu,
-        relation,
+        mu, general, union, upper, lower, spark, certified_by, brute_force,
+        eta_mu, relation,
     )
 
 

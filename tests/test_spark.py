@@ -53,6 +53,11 @@ def _as_dictionary(matrix):
     return ScaledDictionary("thm1", 2, matrix.shape[0], 1, matrix, (0,))
 
 
+def _table(matrix):
+    """The search's int16 column table of `matrix`: one row per column."""
+    return np.ascontiguousarray(np.asarray(matrix).T, dtype=np.int16)
+
+
 @pytest.fixture(scope="module")
 def q2_pair():
     built = construct("thm1", 2)
@@ -267,17 +272,17 @@ def test_bruteforce_witness_in_later_chunk_than_quick_hit():
 
 
 def test_search_range_stops_past_the_shared_bound(monkeypatch):
-    m64 = _chunked_case().astype(np.int64)
+    cols = _table(_chunked_case())
     own = np.arange(33)  # every column its own orbit
     bound = multiprocessing.Value("q", 33)
 
-    assert dct._search_reps(m64, 3, range(4, 8), own, bound) == (7, 30, 32)
+    assert dct._search_reps(cols, 3, range(4, 8), own, bound) == (7, 30, 32)
     assert bound.value == 7  # the hit lowered the shared bound to its root
     # a hit at first column 7 does not cut column 7 short
-    assert dct._search_reps(m64, 3, range(4, 8), own, bound) == (7, 30, 32)
+    assert dct._search_reps(cols, 3, range(4, 8), own, bound) == (7, 30, 32)
     bound.value = 5  # a hit at first column 5 would beat anything here
-    assert dct._search_reps(m64, 3, range(4, 8), own, bound) is None
-    assert dct._search_reps(m64, 3, range(8, 12), own, bound) is None
+    assert dct._search_reps(cols, 3, range(4, 8), own, bound) is None
+    assert dct._search_reps(cols, 3, range(8, 12), own, bound) is None
     assert bound.value == 5
 
     # A k = 3 root's batch holds its one child under any cap: the default,
@@ -287,9 +292,9 @@ def test_search_range_stops_past_the_shared_bound(monkeypatch):
     for cap in (default, 3 * 224, 1):
         monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
         bound.value = 6
-        assert dct._search_reps(m64, 3, range(4, 12), own, bound) is None
+        assert dct._search_reps(cols, 3, range(4, 12), own, bound) is None
         bound.value = 7
-        assert dct._search_reps(m64, 3, range(4, 12), own, bound) == (7, 30, 32)
+        assert dct._search_reps(cols, 3, range(4, 12), own, bound) == (7, 30, 32)
 
     class Lowered:
         """Reads 33 at the first check, then 6: another chunk found a hit at
@@ -303,11 +308,11 @@ def test_search_range_stops_past_the_shared_bound(monkeypatch):
             return 33 if self.reads == 1 else 6
 
     monkeypatch.setattr(dct, "_BATCH_ELEMENTS", default)
-    assert dct._search_reps(m64, 3, range(4, 12), own, Lowered()) is None
+    assert dct._search_reps(cols, 3, range(4, 12), own, Lowered()) is None
     # at root 7 alone, the check before its batch passes and the one after
     # the hit (7, 30, 32) reads the lowered bound
     lowered = Lowered()
-    assert dct._search_reps(m64, 3, [7], own, lowered) is None
+    assert dct._search_reps(cols, 3, [7], own, lowered) is None
     assert lowered.reads == 2
 
 
@@ -437,7 +442,7 @@ def test_batched_nodes_match_the_per_child_loop(monkeypatch):
             for cap in (1, 3, 2 * m.size, default):
                 monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
                 with np.errstate(all="raise"):  # no division by a zero pivot
-                    got = dct._search_reps(m, k, range(n), np.arange(n))
+                    got = dct._search_reps(_table(m), k, range(n), np.arange(n))
                 assert got == want, (trial, k, cap, m)
     assert inner_zero >= 50, inner_zero
 
@@ -473,6 +478,58 @@ def test_bruteforce_refuses_possible_int64_overflow(monkeypatch):
         spark_bruteforce(_as_dictionary(m), 30, budget=2**31)
 
 
+def test_bruteforce_refuses_entries_outside_the_int16_table():
+    """Every size reads the int16 column table, so an entry of magnitude
+    2^15 or more is refused at any k_max.  Read as int16, 40000 is -25536
+    and 65536 is 0, so the first three matrices would give a wrong clean
+    size 2, a false parallel pair and a false zero column; -2^15 fits, but
+    its negative does not."""
+    for m, k_max in (([[40000, 20000, 1], [2, 1, 0], [0, 0, 1]], 2),
+                     ([[40000, -25536], [1, 1]], 2),
+                     ([[65536, 1], [0, 1]], 1),
+                     ([[-32768, 1], [0, 1]], 1)):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="int16"):
+                spark_bruteforce(_as_dictionary(np.array(m)), k_max, workers=workers)
+
+
+def test_bruteforce_searches_entries_at_the_int16_limit():
+    """Entries of magnitude 2^15 - 1 fit the table, negated too; Hadamard's
+    bound allows k <= 3 on them and refuses k = 4.  The second matrix
+    appends column 0 + column 3, a dependent triple.  In the last, column 2
+    is column 0 + 3 * column 1, and the reduced columns it pairs are
+    (0, 30000, 60000) and (0, 90000, 180000), parallel only if the search
+    widens the table before it eliminates."""
+    a = 2**15 - 1
+    m = np.array([[a, -a, 1, 0], [1, 1, 0, 1], [0, 2, a, -a]])
+    planted = np.hstack([m, m[:, [0]] + m[:, [3]]])
+    widened = np.array([[30000, 0, 30000], [1, 1, 4], [0, 2, 6]])
+    assert _oracle_search(widened, 3) == (3, (0, 1, 2))
+    for matrix in (m, planted, -planted, widened):
+        for k_max in (2, 3):
+            want = _oracle_search(matrix, k_max)
+            for workers in (1, 2):
+                res = spark_bruteforce(_as_dictionary(matrix), k_max, workers=workers)
+                assert (res.found_size, res.witness) == want, (matrix, k_max)
+    assert _oracle_search(planted, 3) == (3, (0, 3, 4))
+    with pytest.raises(ValueError, match="overflow int64"):
+        spark_bruteforce(_as_dictionary(m), 4)
+
+
+def test_sparse_vector_refuses_out_of_range_or_repeated_indices(q2_pair):
+    """A negative index would make `apply` read a column from the end (the
+    thm1 q=2 kernel vector with index 0 written as -12 would certify spark
+    3), one past the length would be an IndexError, and a repeated one
+    would hide the support size."""
+    d, x = q2_pair
+    assert x.support[0][0] == 0
+    for support in (((-12, x.support[0][1]),) + x.support[1:], ((-1, 1),),
+                    ((99, 1),), ((12, 1),), ((3, 1), (3, -1))):
+        with pytest.raises(ValueError, match=r"repeat or leave \[0, 12\)"):
+            SparseVector(12, support, "thm1")
+    assert spark_certify(gram_check(d), SparseVector(12, x.support, "thm1")).spark == 3
+
+
 def test_bruteforce_rejects_budget_below_single_columns(q2_pair):
     d, _ = q2_pair
     for budget in (-5, 0, 11):
@@ -485,7 +542,7 @@ def test_bruteforce_rechecks_witness_rank(q2_pair, monkeypatch):
     d, _ = q2_pair
     # (0, 1, 2) has rank 3: a kernel reporting it must not be believed
     monkeypatch.setattr(
-        dct, "_run_level", lambda m64, k, *rest: (0, 1, 2) if k == 3 else None
+        dct, "_run_level", lambda cols, k, *rest: (0, 1, 2) if k == 3 else None
     )
     with pytest.raises(RuntimeError, match="rank"):
         spark_bruteforce(d, 3)
@@ -544,15 +601,15 @@ def _oracle_symmetries(matrix):
 )
 def test_column_orbits_of_the_shipped_families(family, q, orbits, kept):
     m = build_dictionary(family, q).matrix
-    got_kept, orbit = dct._column_orbits(m)
+    got_kept, orbit = dct._column_orbits(_table(m))
     assert len(got_kept) == kept and np.unique(orbit).size == orbits
     want_kept, want_orbit = _oracle_symmetries(m)
     assert got_kept == want_kept
     assert (orbit == want_orbit).all()
 
 
-def _trivial_orbits(matrix):
-    return [], np.arange(matrix.shape[1])
+def _trivial_orbits(cols):
+    return [], np.arange(len(cols))
 
 
 def test_tampered_matrix_keeps_only_its_true_symmetries(monkeypatch):
@@ -562,7 +619,7 @@ def test_tampered_matrix_keeps_only_its_true_symmetries(monkeypatch):
     off column 0."""
     m = build_dictionary("thm1", 4).matrix.copy()
     m[0, 0] = -m[0, 0]
-    kept, orbit = dct._column_orbits(m)
+    kept, orbit = dct._column_orbits(_table(m))
     want_kept, want_orbit = _oracle_symmetries(m)
     assert kept == want_kept and (orbit == want_orbit).all()
     assert len(kept) == 3 and np.unique(orbit).size == 32
@@ -644,15 +701,15 @@ def test_rooted_levels_on_symmetric_matrices(monkeypatch):
     orbits_seen, firsts_seen = [], []
     run_level, search_reps = dct._run_level, dct._search_reps
 
-    def recording(matrix, k, orbit, *rest):
+    def recording(cols, k, orbit, *rest):
         assert k >= 3  # sizes 1 and 2 never reach the levels
         orbits_seen.append(orbit)
-        return run_level(matrix, k, orbit, *rest)
+        return run_level(cols, k, orbit, *rest)
 
-    def recording_reps(m64, k, reps, orbit, bound=None):
+    def recording_reps(cols, k, reps, orbit, bound=None):
         assert k >= 3  # in this process, so when the search runs here
         firsts_seen.extend(reps)
-        return search_reps(m64, k, reps, orbit, bound)
+        return search_reps(cols, k, reps, orbit, bound)
 
     monkeypatch.setattr(dct, "_run_level", recording)
     monkeypatch.setattr(dct, "_search_reps", recording_reps)
@@ -661,7 +718,7 @@ def test_rooted_levels_on_symmetric_matrices(monkeypatch):
         m = _symmetric_planted(rng)
         k_max = int(rng.integers(3, 6))
         want = _oracle_search(m, k_max)
-        orbit = dct._column_orbits(m)[1]
+        orbit = dct._column_orbits(_table(m))[1]
         reps = np.flatnonzero(orbit == np.arange(m.shape[1]))
         assert reps.size < m.shape[1], trial  # the search is rooted
         d = _as_dictionary(m)
@@ -684,11 +741,11 @@ def test_rooted_levels_on_symmetric_matrices(monkeypatch):
 def test_level_range_leaves_out_earlier_orbits():
     """With orbit labels, subsets from column 1 skip column 3, labelled as
     orbit 0's: the dependent set (1, 2, 3) is not searched, (1, 2, 4) is."""
-    m64 = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 1, 2], [0, 0, 1, 1, 1]])
+    cols = _table([[1, 0, 0, 0, 0], [0, 1, 0, 1, 2], [0, 0, 1, 1, 1]])
     orbit = np.array([0, 1, 2, 0, 4])
-    assert dct._search_reps(m64, 3, [1], np.arange(5)) == (1, 2, 3)
-    assert dct._search_reps(m64, 3, [1], orbit) == (1, 2, 4)
-    assert dct._search_reps(m64, 3, [1, 2], orbit) == (1, 2, 4)
+    assert dct._search_reps(cols, 3, [1], np.arange(5)) == (1, 2, 3)
+    assert dct._search_reps(cols, 3, [1], orbit) == (1, 2, 4)
+    assert dct._search_reps(cols, 3, [1, 2], orbit) == (1, 2, 4)
 
 
 def test_each_representative_roots_its_own_search(monkeypatch):
@@ -696,7 +753,7 @@ def test_each_representative_roots_its_own_search(monkeypatch):
     representatives, the five consecutive ones 512-516 included, and the
     root at r searches the columns whose orbit's least index is at least r."""
     d = build_dictionary("thm1", 8)
-    orbit = dct._column_orbits(d.matrix)[1]
+    orbit = dct._column_orbits(_table(d.matrix))[1]
     reps = np.flatnonzero(orbit == np.arange(d.n_cols))
     assert reps.size == 21 and set(range(512, 517)) <= set(reps.tolist())
     descend, roots = dct._descend, []
@@ -720,7 +777,7 @@ def test_row_permuted_thm1_q4_roots_every_column():
     search at a shipped size gives the rooted search's result."""
     d = build_dictionary("thm1", 4)
     m = d.matrix[np.random.default_rng(0).permutation(d.dimension)]
-    kept, orbit = dct._column_orbits(m)
+    kept, orbit = dct._column_orbits(_table(m))
     assert kept == [] and np.array_equal(orbit, np.arange(d.n_cols))
     want = spark_bruteforce(d, 5)
     assert want.witness == (0, 16, 37, 53, 69)
@@ -762,7 +819,7 @@ def test_pool_is_sized_to_the_first_columns_of_size_three(monkeypatch):
     # orbits {0, 1} and {2, 3}: column 0 is the only size-3 first column,
     # so two workers search in process
     m = np.array([[1, 0, 1, 1], [0, 1, 1, -1]], dtype=np.int8)
-    assert list(dct._column_orbits(m)[1]) == [0, 0, 2, 2]
+    assert list(dct._column_orbits(_table(m))[1]) == [0, 0, 2, 2]
     res = spark_bruteforce(_as_dictionary(m), 3, workers=2)
     assert (res.found_size, res.witness) == (3, (0, 1, 2))
     assert made == [3]
@@ -788,7 +845,8 @@ def test_search_range_stops_below_the_root_once_the_bound_falls():
     subtree, stops the chunk instead of letting it finish the subtree.  At
     k = 5 that check is at depth 1, above the batched depth k-3, and
     expanding further children there would read the bound again."""
-    m64 = _chunked_case().astype(np.int64)
+    m = _chunked_case()
+    cols = _table(m)
     own = np.arange(33)
 
     class Lowered:
@@ -799,13 +857,14 @@ def test_search_range_stops_below_the_root_once_the_bound_falls():
             self.reads += 1
             return 33 if self.reads == 1 else 6
 
-    assert dct._search_reps(m64, 4, [7], own) == (7, 8, 9, 10)
+    assert dct._search_reps(cols, 4, [7], own) == (7, 8, 9, 10)
     lowered = Lowered()
-    assert dct._search_reps(m64, 4, [7], own, lowered) is None
+    assert dct._search_reps(cols, 4, [7], own, lowered) is None
     assert lowered.reads == 2
-    want = _per_child_search(m64[:, 7:], tuple(range(7, 33)), 1, (), 5)
+    tail = m[:, 7:].astype(np.int64)
+    want = _per_child_search(tail, tuple(range(7, 33)), 1, (), 5)
     assert want is not None and want[0] == 7
-    assert dct._search_reps(m64, 5, [7], own) == want
+    assert dct._search_reps(cols, 5, [7], own) == want
     lowered = Lowered()
-    assert dct._search_reps(m64, 5, [7], own, lowered) is None
+    assert dct._search_reps(cols, 5, [7], own, lowered) is None
     assert lowered.reads == 2
