@@ -127,28 +127,30 @@ def build_net(ctx: FieldContext) -> np.ndarray:
 
 
 def verify_net(net: np.ndarray) -> CheckReport:
-    """Exhaustive inner-product check of both net conditions: disjointness
-    within a family, single meeting point across families."""
+    """Exhaustive inner-product check of both net conditions, disjointness
+    within a family and a single meeting point across families, on the
+    exact products of `mub.gram_strips`, one family at a time."""
+    from .mub import gram_strips  # mub imports this module
+
     rep = CheckReport("net-incidence")
     q = net.shape[1]
-    flat = net.reshape((q + 1) * q, q * q).astype(np.int64)
+    flat = net.reshape((q + 1) * q, q * q)
     ones = flat.sum(axis=1)
     rep.count()
     if (ones != q).any():
         first = int(np.flatnonzero(ones != q)[0])
         rep.fail(f"vector {first} has {int(ones[first])} ones, want {q}")
-    gram = flat @ flat.T
     n = (q + 1) * q
-    family = np.arange(n) // q
-    want = (family[:, None] != family[None, :]).astype(np.int64)
     labels = block_labels(q)
     rep.count(n * (n - 1) // 2)
-    # np.nonzero walks the upper triangle row by row: pairs (a, b) in order
-    for a, b in zip(*np.nonzero(np.triu(gram != want, k=1))):
-        ba, ja = divmod(int(a), q)
-        bb, jb = divmod(int(b), q)
-        rep.fail(
-            f"<m[{labels[ba]},{ja}], m[{labels[bb]},{jb}]> = {int(gram[a, b])}, "
-            f"want {int(want[a, b])}"
-        )
+    for ba, strip in enumerate(gram_strips(flat.T, q)):
+        # strip[ja, c] pairs vector (ba, ja) with vector ba * q + c; row by
+        # row over the strips, np.nonzero walks the pairs (a, b) in order
+        want = np.arange(strip.shape[1]) >= q
+        for ja, c in zip(*np.nonzero(np.triu(strip != want, k=1))):
+            bb, jb = divmod(ba * q + int(c), q)
+            rep.fail(
+                f"<m[{labels[ba]},{ja}], m[{labels[bb]},{jb}]> = "
+                f"{int(strip[ja, c])}, want {int(want[c])}"
+            )
     return rep

@@ -154,23 +154,16 @@ def build_null_vector(family: str, q: int) -> SparseVector:
     return construct(family, q).vector
 
 
-def apply(dictionary: ScaledDictionary, x: SparseVector | np.ndarray) -> np.ndarray:
-    """Exact integer product (scaled matrix) @ x."""
-    if isinstance(x, SparseVector):
-        if x.length != dictionary.n_cols:
-            raise ValueError(
-                f"vector length {x.length} does not match {dictionary.n_cols} columns"
-            )
-        out = np.zeros(dictionary.dimension, dtype=np.int64)
-        for idx, val in x.support:
-            out += val * dictionary.matrix[:, idx].astype(np.int64)
-        return out
-    x = np.asarray(x)
-    if x.shape != (dictionary.n_cols,):
+def apply(dictionary: ScaledDictionary, x: SparseVector) -> np.ndarray:
+    """Exact integer product of the scaled matrix with x, in int64."""
+    if x.length != dictionary.n_cols:
         raise ValueError(
-            f"vector shape {x.shape} does not match {dictionary.n_cols} columns"
+            f"vector length {x.length} does not match {dictionary.n_cols} columns"
         )
-    return dictionary.matrix.astype(np.int64) @ x.astype(np.int64)
+    out = np.zeros(dictionary.dimension, dtype=np.int64)
+    for idx, val in x.support:
+        out += val * dictionary.matrix[:, idx].astype(np.int64)
+    return out
 
 
 @dataclass(frozen=True)
@@ -520,6 +513,14 @@ def _run_level(cols, k, orbit, reps, workers, pool, bound):
     return None
 
 
+def _minors_overflow(a, j):
+    """Whether twice the square of Hadamard's bound a^j * j^(j/2) on the
+    j-minors of a matrix with entries of magnitude at most a reaches 2^63.
+    A fraction-free update subtracts two products of such minors, so below
+    that it cannot overflow int64."""
+    return j >= 1 and 2 * a ** (2 * j) * j**j >= 2**63
+
+
 def _check_minor_bound(matrix, k):
     """Refuse a search to size k whose int16 column table or int64
     elimination could overflow.
@@ -540,7 +541,7 @@ def _check_minor_bound(matrix, k):
     if a >= 2**15:
         raise ValueError(f"entry of magnitude {a} >= 2^15 does not fit the int16 table")
     j = min(k - 1, matrix.shape[0])
-    if j >= 1 and 2 * a ** (2 * j) * j**j >= 2**63:
+    if _minors_overflow(a, j):
         raise ValueError(
             f"a search to size {k} could overflow int64: twice the square of "
             f"Hadamard's bound on the {j}-minors ({a}^{j} * {j}^({j}/2)) is "
@@ -631,11 +632,27 @@ def spark_bruteforce(
     return BruteForceResult(k_max, k_checked, found_size, witness, planned, budget)
 
 
-def exact_rank(matrix) -> int:
-    """Rank over the rationals by fraction-free elimination on integers."""
-    m = np.array(matrix, dtype=np.int64)
+def exact_rank(matrix: np.typing.ArrayLike) -> int:
+    """Rank over the rationals by fraction-free elimination on int64.
+
+    Raises ValueError unless every entry is an integer or boolean that fits
+    int64, and when an update could overflow int64: when twice the square of
+    Hadamard's bound on the j-minors, j = min(rows, cols) - 1, is not below
+    2^63.
+    """
+    m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError("exact_rank expects a 2-d matrix")
+    # numpy keeps Python ints past 64 bits as objects, and uint64 past 2^63
+    if m.dtype.kind not in "biu" or int(m.max(initial=0)) >= 2**63:
+        raise ValueError(f"exact_rank expects integers that fit int64, got {m.dtype}")
+    m = m.astype(np.int64)
+    j = min(m.shape) - 1
+    if _minors_overflow(max(-int(m.min(initial=0)), int(m.max(initial=0))), j):
+        raise ValueError(
+            f"exact_rank could overflow int64: twice the square of Hadamard's "
+            f"bound on the {j}-minors is not below 2^63"
+        )
     rank = 0
     prev = 1
     rows, cols = m.shape

@@ -125,11 +125,10 @@ class FieldContext:
             raise ValueError("nested extensions are not supported")
         if self.m > MAX_DEGREE // 2:
             raise ValueError(f"extension base must have m <= {MAX_DEGREE // 2}")
-        image = {clmod(clmul(t, t), self.poly) ^ t for t in range(self.q)}
-        c = next((i for i in range(self.q) if i not in image), None)
-        if c is None:  # unreachable: t^2 + t is 2-to-1 in characteristic 2
-            raise ValueError(f"no irreducible y^2 + y + c over GF({self.q})")
-        return FieldContext(2 * self.m, _base=self, _c=c)
+        t = np.arange(self.q)
+        # the least c that is no t^2 + t; t^2 + t is 2-to-1, so half the field is
+        c = np.setdiff1d(t, self.squares() ^ t)[0]
+        return FieldContext(2 * self.m, _base=self, _c=int(c))
 
     @property
     def half(self) -> int:

@@ -7,10 +7,12 @@ vector (b, u), so every column has exactly q nonzero entries and all
 verification reduces to integer inner products: q * identity inside one
 basis, plus or minus 1 across two bases.
 
-Those inner products come from `gram_strips`, the one block-Gram routine;
-`dictionaries.gram_check` reads its strips once for the orthonormality,
-unbiasedness and coherence checks together.  The strips are float32 BLAS
-products, exact while every Gram entry and partial sum stays below 2^24 in
+Those inner products come from `gram_strips`, the one exact Gram routine
+and the only matrix product in the package: `dictionaries.gram_check`
+reads its strips once for the orthonormality, unbiasedness and coherence
+checks together, and `designs.verify_net` reads the net's inner products
+from it, one family at a time.  The strips are float32 BLAS products,
+exact while every Gram entry and partial sum stays below 2^24 in
 magnitude; the bound rows * max|entry|^2 is checked on the actual matrix
 before each pass, and int64 arithmetic is used when it fails.
 """

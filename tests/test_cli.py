@@ -620,30 +620,34 @@ def test_one_input_file_of_each_kind(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("argv", "gram_passes"),
+    ("argv", "dictionary_passes", "net_passes"),
     [
-        (["construct", "--family", "thm1", "--q", "16"], 1),
-        (["verify", "FILES"], 1),
-        (["verify", "--family", "thm1", "--q", "16"], 1),
-        (["spark", "--family", "thm2", "--q", "2"], 1),
-        (["export", "--family", "thm2", "--q", "4", "--format", "json"], 0),
+        (["construct", "--family", "thm1", "--q", "16"], 1, 1),
+        (["verify", "FILES"], 1, 1),
+        (["verify", "--family", "thm1", "--q", "16"], 1, 1),
+        (["spark", "--family", "thm2", "--q", "2"], 1, 0),
+        (["export", "--family", "thm2", "--q", "4", "--format", "json"], 0, 0),
     ],
     ids=["construct", "verify-files", "verify-flags", "spark-flags", "export"],
 )
 def test_each_command_builds_its_family_once(
-    tmp_path, monkeypatch, argv, gram_passes
+    tmp_path, monkeypatch, argv, dictionary_passes, net_passes
 ):
     if argv == ["verify", "FILES"]:
         main(["construct", "--family", "thm2", "--q", "2", "--out-dir", str(tmp_path)])
         argv = ["verify", str(tmp_path / "dictionary_thm2_q2.csv"),
                 str(tmp_path / "vector_thm2_q2.csv")]
     names = ("construct", "build_net", "permuted_hadamard", "gram_strips")
-    calls = dict.fromkeys(names, 0)
+    calls = dict.fromkeys(names + ("net gram_strips",), 0)
     modules = (cli, designs, dictionaries, hadamard, mub)
-    for name in calls:
+    for name in names:
         fn = next(getattr(m, name) for m in modules if hasattr(m, name))
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
+            if _name == "gram_strips":
+                # a dictionary's blocks are square; the net's q^2 x q are not
+                matrix, width = args
+                _name = "gram_strips" if width == len(matrix) else "net gram_strips"
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
@@ -655,4 +659,5 @@ def test_each_command_builds_its_family_once(
         argv = argv + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 0
     assert calls == {"construct": 1, "build_net": 1, "permuted_hadamard": 1,
-                     "gram_strips": gram_passes}
+                     "gram_strips": dictionary_passes,
+                     "net gram_strips": net_passes}

@@ -17,6 +17,8 @@ from spark_forge import (
     verify_mols,
     verify_net,
 )
+from spark_forge.mub import gram_strips
+from spark_forge.report import CheckReport
 
 
 def test_latin_square_small_published(gf2, gf4):
@@ -180,3 +182,71 @@ def test_verify_net_keeps_pair_order_past_the_failure_cap(gf8):
         "<m[2,5], m[3,3]> = 0, want 1",
         "<m[2,5], m[3,4]> = 0, want 1",
     ]
+
+
+def _int64_verify_net(net):
+    """The whole-matrix int64 net check: one n x n Gram product, scanned
+    over its upper triangle row by row."""
+    rep = CheckReport("net-incidence")
+    q = net.shape[1]
+    flat = net.reshape((q + 1) * q, q * q).astype(np.int64)
+    ones = flat.sum(axis=1)
+    rep.count()
+    if (ones != q).any():
+        first = int(np.flatnonzero(ones != q)[0])
+        rep.fail(f"vector {first} has {int(ones[first])} ones, want {q}")
+    gram = flat @ flat.T
+    n = (q + 1) * q
+    family = np.arange(n) // q
+    want = (family[:, None] != family[None, :]).astype(np.int64)
+    labels = block_labels(q)
+    rep.count(n * (n - 1) // 2)
+    for a, b in zip(*np.nonzero(np.triu(gram != want, k=1))):
+        ba, ja = divmod(int(a), q)
+        bb, jb = divmod(int(b), q)
+        rep.fail(
+            f"<m[{labels[ba]},{ja}], m[{labels[bb]},{jb}]> = {int(gram[a, b])}, "
+            f"want {int(want[a, b])}"
+        )
+    return rep
+
+
+def _tampered_nets():
+    rng = np.random.default_rng(15)
+    for m in (1, 2, 3):
+        net = build_net(FieldContext(m))
+        q = net.shape[1]
+        yield net
+        moved = net.copy()  # one incidence moved within a vector
+        b, j = int(rng.integers(q + 1)), int(rng.integers(q))
+        on = np.flatnonzero(moved[b, j])[0]
+        moved[b, j, on] = 0
+        moved[b, j, (on + 1) % (q * q)] = 1
+        yield moved
+        scrambled = net.copy()  # random bits flipped anywhere
+        scrambled.reshape(-1)[rng.choice(net.size, 2, replace=False)] ^= 1
+        yield scrambled
+        yield np.zeros_like(net)
+    ext = build_net(FieldContext(2).extension())
+    yield ext
+    ext = ext.copy()
+    ext[4, 3] = ext[0, 3]  # a family-4 vector replaced by a family-0 one
+    yield ext
+    # a generic array past float32's exact range: 289 * 255^2 >= 2^24
+    generic = (rng.random((18, 17, 289)) < 1 / 17).astype(np.uint8)
+    generic[0, 0, np.flatnonzero(generic[0, 0])[0]] = 255
+    yield generic
+
+
+def test_verify_net_matches_the_int64_oracle():
+    nets = list(_tampered_nets())
+    generic = nets[-1]
+    assert next(gram_strips(generic.reshape(-1, 289).T, 17)).dtype == np.int64
+    assert not verify_net(nets[1]).passed and verify_net(nets[0]).passed
+    for net in nets:
+        got, want = verify_net(net), _int64_verify_net(net)
+        assert (got.checks, got.failures, got.summary()) == (
+            want.checks,
+            want.failures,
+            want.summary(),
+        )

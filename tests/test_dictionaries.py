@@ -7,6 +7,7 @@ import pytest
 
 from spark_forge import (
     INFINITY,
+    SparseVector,
     apply,
     build_dictionary,
     build_null_vector,
@@ -133,16 +134,8 @@ def test_apply_guards():
     x4 = build_null_vector("thm1", 4)
     with pytest.raises(ValueError):
         apply(d, x4)
-    with pytest.raises(ValueError):
-        apply(d, np.zeros(5))
-
-
-def test_apply_dense_matches_sparse():
-    built = construct("thm1", 2)
-    d, x = built.dictionary, built.vector
-    assert np.array_equal(apply(d, x), apply(d, x.dense()))
 
 
 def test_apply_zero_vector():
     d = build_dictionary("thm1", 2)
-    assert not apply(d, np.zeros(12, dtype=int)).any()
+    assert not apply(d, SparseVector(12, (), "thm1")).any()

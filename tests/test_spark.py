@@ -81,6 +81,26 @@ def test_exact_rank_edge_cases():
     assert exact_rank([[2, 4], [1, 2]]) == 1
 
 
+def test_exact_rank_refuses_what_int64_cannot_rank_exactly():
+    for bad in (
+        [[2**32, 0], [0, 2**32]],  # the update's products pass 2^63
+        [[1.5, 1], [3, 2]],  # floats are not truncated
+        [[0.5]],
+        [[2**70]],  # past int64
+        np.array([[2**63]], dtype=np.uint64),
+        [[1, "a"]],
+    ):
+        with pytest.raises(ValueError):
+            exact_rank(bad)
+    # within the bound: 3 rows with entries +-32767, and booleans
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        m = rng.choice([-32767, 0, 32767], size=(3, 5))
+        assert exact_rank(m) == _oracle_rank(m)
+    assert exact_rank(np.array([[True, True], [True, True]])) == 1
+    assert exact_rank([[2**62], [3]]) == 1  # one column: no minor bound applies
+
+
 def test_bruteforce_matches_oracle_scan(q2_pair):
     d, _ = q2_pair
     assert _oracle_first_dependent(d.matrix, 1) is None
