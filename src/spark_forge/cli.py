@@ -672,7 +672,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", help="dictionary / vector CSV files")
     _add_family_q(p)
     p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=dct.usable_cpus(),
+        help="upper bound on the search's worker processes (default: the "
+        "usable CPUs); sizes too small to pay for them run in process",
+    )
     p.add_argument("--brute-force", action="store_true")
     p.add_argument("--budget", type=int, default=dct.DEFAULT_SUBSET_BUDGET)
     p.add_argument("--out-dir", default=None)

@@ -19,7 +19,10 @@ columns.  It starts subsets only at one column per orbit of the signed
 column permutations that XOR translations and Sylvester sign modulations
 of the rows induce, one search task per such representative; each
 symmetry is checked exactly on the matrix at run time, and the witness is
-still the lex-least dependent subset.
+still the lex-least dependent subset.  A size runs in process until its
+count of such subsets reaches `_POOL_MIN_SUBSETS`; from the first that
+does, a pool of worker processes, no larger than the usable CPUs, takes
+the tasks.
 `gram_check` reads the block Gram strips of `mub.gram_strips` once and
 yields the orthonormality and unbiasedness checks together with the
 coherence; the strips are float32 BLAS products, exact because every entry
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,7 +159,10 @@ def build_null_vector(family: str, q: int) -> SparseVector:
 
 
 def apply(dictionary: ScaledDictionary, x: SparseVector) -> np.ndarray:
-    """Exact integer product of the scaled matrix with x, in int64."""
+    """Exact integer product of the scaled matrix with x, in int64.  Raises
+    ValueError unless x is a SparseVector of the dictionary's length."""
+    if not isinstance(x, SparseVector):
+        raise ValueError(f"apply expects a SparseVector, got {type(x).__name__}")
     if x.length != dictionary.n_cols:
         raise ValueError(
             f"vector length {x.length} does not match {dictionary.n_cols} columns"
@@ -273,16 +280,24 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # worker: each representative r roots one `_descend` call over the columns
 # whose orbit's least index is at least r, with r as its only first column.
 # The representatives are found once per search.
-# A pool splits a level into chunks of representatives, read back in
-# ascending order.  A chunk that finds a hit lowers a shared bound to the
-# hit's first column, and every chunk stops, at its next node, once its
-# first column passes the bound: the lex-least witness has the smallest
-# first column of any hit, so no chunk that could hold it is cut short, and
-# the witness does not depend on the worker count.  A pool has no more
-# processes than size 3 has representatives, the most chunks of any level.
+# A level whose rooted subsets number fewer than `_POOL_MIN_SUBSETS` is
+# searched in process: below that, starting worker processes and sending
+# them chunks costs more than they save.  The pool starts at the first level
+# that reaches the count, with no more processes than the requested
+# workers, that level's representatives or the usable CPUs, and serves
+# every deeper level.  It splits a level into chunks of representatives,
+# read back in ascending order.  A chunk that finds a hit lowers a shared
+# bound to the hit's first column, and every chunk stops, at its next node,
+# once its first column passes the bound: the lex-least witness has the
+# smallest first column of any hit, so no chunk that could hold it is cut
+# short, and the witness does not depend on the worker count or on where
+# the pool starts.
 
 # int64 entries in one batched update; caps the search's memory per batch
 _BATCH_ELEMENTS = 2**16
+
+# rooted subsets of a level from which it is searched in the worker pool
+_POOL_MIN_SUBSETS = 10**7
 
 
 @dataclass(frozen=True)
@@ -489,13 +504,32 @@ def _worker_reps(k, reps):
     return _search_reps(_WORKER_COLS, k, reps, _WORKER_ORBIT, _WORKER_BOUND)
 
 
+def _rooted_subsets(orbit, reps, k):
+    """Number of k-subsets (k >= 3) that a level searches, with no search:
+    for each representative r <= n - k of `orbit`, the (k-1)-subsets of the
+    later columns whose orbit's least index is at least r."""
+    n = len(orbit)
+    reps = reps[reps <= n - k]
+    avail = n - np.searchsorted(np.sort(orbit), reps)  # columns r's subsets use
+    return sum(math.comb(int(a) - 1, k - 1) for a in avail)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_level(cols, k, orbit, reps, workers, pool, bound):
     """Lex-least dependent k-subset (k >= 3) of the int16 column table
     `cols`, or None.  Subsets start only at those ascending representatives
     `reps` of `orbit` (from `_column_orbits`) that leave room for k - 1 later
     columns, and keep to their own and later orbits.  Without a pool they
-    are searched here; with one, `workers` processes holding the same table
-    and labels search chunks of them."""
+    are searched here; with one, its `workers` processes, holding the same
+    table and labels, search chunks of them."""
     n = len(cols)
     reps = reps[reps <= n - k].tolist()  # holds column 0
     if pool is None:
@@ -561,10 +595,13 @@ def spark_bruteforce(
     result does not depend on the worker count.  From size 3 up, subsets
     start only at one column per orbit of the matrix's column symmetries
     (found and checked exactly at run time), which keeps the lex-least
-    witness.  The budget caps the total number of subsets the search is
-    allowed to plan for (a priori, by binomial counts), degrading k_max
-    rather than aborting mid-run; it must cover at least the single
-    columns.  Raises ValueError when k_max or workers is below 1, an entry
+    witness.  `workers` is an upper bound: a size whose count of such
+    subsets is below `_POOL_MIN_SUBSETS` is searched in process, and a
+    pool starts at the first size that reaches it, with no more processes
+    than `workers`, that size's first columns or the usable CPUs.  The
+    budget caps the total number of subsets the search is allowed to plan
+    for (a priori, by binomial counts), degrading k_max rather than
+    aborting mid-run; it must cover at least the single columns.  Raises ValueError when k_max or workers is below 1, an entry
     has magnitude 2^15 or more, or the int64 elimination could overflow at
     the planned depth, and RuntimeError if a witness fails its exact rank
     re-check.
@@ -605,17 +642,21 @@ def spark_bruteforce(
         # nonzero columns, pairwise distinct up to sign, as the orbit pass needs
         orbit = _column_orbits(cols)[1]
         reps = np.flatnonzero(orbit == np.arange(n))
-        workers = min(workers, int((reps <= n - 3).sum()))  # size 3 has most
+        workers = min(workers, usable_cpus())
         pool = bound = None
-        if workers > 1:
-            bound = multiprocessing.Value("q", n)
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(cols, orbit, bound),
-            )
         try:
             for k in range(3, k_checked + 1):
+                if (pool is None and workers > 1
+                        and _rooted_subsets(orbit, reps, k) >= _POOL_MIN_SUBSETS):
+                    # deeper levels have no more representatives than this one
+                    workers = min(workers, int((reps <= n - k).sum()))
+                    if workers > 1:
+                        bound = multiprocessing.Value("q", n)
+                        pool = ProcessPoolExecutor(
+                            max_workers=workers,
+                            initializer=_init_worker,
+                            initargs=(cols, orbit, bound),
+                        )
                 witness = _run_level(cols, k, orbit, reps, workers, pool, bound)
                 if witness is not None:
                     found_size = k

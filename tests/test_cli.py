@@ -3,6 +3,7 @@ trips, fault injection, rendering, and determinism."""
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,14 @@ def test_spark_rejects_workers_below_one(capsys):
     assert main(["spark", "--family", "thm1", "--q", "2", "--brute-force",
                  "--k-max", "3", "--workers", "0"]) == 2
     assert "--workers must be at least 1" in capsys.readouterr().err
+
+
+def test_spark_workers_default_to_the_usable_cpus(capsys):
+    args = cli.build_parser().parse_args(["spark", "--family", "thm1", "--q", "2"])
+    assert args.workers == dictionaries.usable_cpus() == len(os.sched_getaffinity(0))
+    with pytest.raises(SystemExit):
+        main(["spark", "--help"])
+    assert "upper bound on the search's worker processes" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,9 @@ def test_apply_guards():
     x4 = build_null_vector("thm1", 4)
     with pytest.raises(ValueError):
         apply(d, x4)
+    # a dense array is not a SparseVector, even at the right length
+    with pytest.raises(ValueError, match="SparseVector, got ndarray"):
+        apply(d, build_null_vector("thm1", 2).dense())
 
 
 def test_apply_zero_vector():

@@ -3,6 +3,8 @@ rational-arithmetic oracles."""
 
 import itertools
 import multiprocessing
+import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -146,9 +148,12 @@ def test_bruteforce_thm2_clears_five_and_finds_six():
         assert _oracle_first_dependent(d.matrix, k) is None
 
 
-def test_bruteforce_worker_invariance():
+def test_bruteforce_worker_invariance(monkeypatch):
+    """Searched in process at the default pool count, in the pool at 0."""
     d = build_dictionary("thm1", 4)
     serial = spark_bruteforce(d, 4, workers=1)
+    assert spark_bruteforce(d, 4, workers=2) == serial
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)
     parallel = spark_bruteforce(d, 4, workers=2)
     assert serial == parallel
     assert serial.found_size is None and serial.k_checked == 4
@@ -253,7 +258,8 @@ def _random_planted(rng):
     return m.astype(np.int8)
 
 
-def test_bruteforce_random_planted_against_oracle():
+def test_bruteforce_random_planted_against_oracle(monkeypatch):
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)  # 2 workers use the pool
     rng = np.random.default_rng(2024)
     for trial in range(300):
         m = _random_planted(rng)
@@ -280,13 +286,16 @@ def _chunked_case():
     return m
 
 
-def test_bruteforce_witness_in_later_chunk_than_quick_hit():
+def test_bruteforce_witness_in_later_chunk_than_quick_hit(monkeypatch):
     m = _chunked_case()
     assert _oracle_search(m, 3) == (3, (7, 30, 32))
     assert exact_rank(m[:, [8, 9, 10]]) == 2
     d = _as_dictionary(m)
     serial = spark_bruteforce(d, 3, workers=1)
     assert serial.witness == (7, 30, 32)
+    assert spark_bruteforce(d, 3, workers=2) == serial  # in process
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)
+    monkeypatch.setattr(dct, "usable_cpus", lambda: 4)  # chunks as on 4 CPUs
     for workers in (2, 4):  # 4 also chunks more finely (2 first columns each)
         assert spark_bruteforce(d, 3, workers=workers) == serial
 
@@ -471,6 +480,7 @@ def test_batch_cap_does_not_change_the_result(monkeypatch):
     """Caps of 1 and 3 entries settle one child per batch, so batch
     boundaries fall inside every level; three times the matrix's entries
     gives three or more children per batch."""
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)  # 2 workers use the pool
     rng = np.random.default_rng(33)
     default = dct._BATCH_ELEMENTS
     cases = [(_chunked_case(), 3)]
@@ -498,12 +508,13 @@ def test_bruteforce_refuses_possible_int64_overflow(monkeypatch):
         spark_bruteforce(_as_dictionary(m), 30, budget=2**31)
 
 
-def test_bruteforce_refuses_entries_outside_the_int16_table():
+def test_bruteforce_refuses_entries_outside_the_int16_table(monkeypatch):
     """Every size reads the int16 column table, so an entry of magnitude
     2^15 or more is refused at any k_max.  Read as int16, 40000 is -25536
     and 65536 is 0, so the first three matrices would give a wrong clean
     size 2, a false parallel pair and a false zero column; -2^15 fits, but
     its negative does not."""
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)  # 2 workers use the pool
     for m, k_max in (([[40000, 20000, 1], [2, 1, 0], [0, 0, 1]], 2),
                      ([[40000, -25536], [1, 1]], 2),
                      ([[65536, 1], [0, 1]], 1),
@@ -513,13 +524,14 @@ def test_bruteforce_refuses_entries_outside_the_int16_table():
                 spark_bruteforce(_as_dictionary(np.array(m)), k_max, workers=workers)
 
 
-def test_bruteforce_searches_entries_at_the_int16_limit():
+def test_bruteforce_searches_entries_at_the_int16_limit(monkeypatch):
     """Entries of magnitude 2^15 - 1 fit the table, negated too; Hadamard's
     bound allows k <= 3 on them and refuses k = 4.  The second matrix
     appends column 0 + column 3, a dependent triple.  In the last, column 2
     is column 0 + 3 * column 1, and the reduced columns it pairs are
     (0, 30000, 60000) and (0, 90000, 180000), parallel only if the search
     widens the table before it eliminates."""
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)  # 2 workers use the pool
     a = 2**15 - 1
     m = np.array([[a, -a, 1, 0], [1, 1, 0, 1], [0, 2, a, -a]])
     planted = np.hstack([m, m[:, [0]] + m[:, [3]]])
@@ -657,7 +669,8 @@ def test_tampered_matrix_keeps_only_its_true_symmetries(monkeypatch):
 
 def test_orbit_pass_does_not_change_results(monkeypatch):
     """The searches of this file on matrices with symmetry, with the orbit
-    pass and with every orbit one column, for 1 and 2 workers."""
+    pass and with every orbit one column, for 1 and 2 workers, with the
+    pool at its default count and started at size 3."""
     thm2 = build_dictionary("thm2", 2)
     thm1 = build_dictionary("thm1", 4)
     cases = [(build_dictionary("thm1", 2), 3, 10**8), (thm2, 5, 10**8),
@@ -670,6 +683,8 @@ def test_orbit_pass_does_not_change_results(monkeypatch):
                 for d, k, b in cases for w in (1, 2)]
 
     rooted = run_all()
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)
+    assert run_all() == rooted
     monkeypatch.setattr(dct, "_column_orbits", _trivial_orbits)
     assert run_all() == rooted
 
@@ -805,44 +820,133 @@ def test_row_permuted_thm1_q4_roots_every_column():
         assert spark_bruteforce(_as_dictionary(m), 5, workers=workers) == want
 
 
-def test_pool_starts_at_the_first_size_three_level(monkeypatch, q2_pair):
+class _InProcessPool:
+    """Stands in for the search's ProcessPoolExecutor: records the pool size
+    it is asked for and how many levels `levels` holds by then, and runs
+    every task here, so that no process starts."""
+
+    made = None  # (max_workers, levels recorded before the pool) per pool
+    levels = None
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.made.append((max_workers, len(self.levels)))
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Installs `_InProcessPool`; yields its list of pools made.  The worker
+    state it sets in this process is restored afterwards."""
+    for name in ("_WORKER_COLS", "_WORKER_ORBIT", "_WORKER_BOUND"):
+        monkeypatch.setattr(dct, name, None)
+    run_level = dct._run_level
+
+    def recording(cols, k, *rest):
+        _InProcessPool.levels.append(k)
+        return run_level(cols, k, *rest)
+
+    monkeypatch.setattr(dct, "_run_level", recording)
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    monkeypatch.setattr(_InProcessPool, "levels", [])
+    monkeypatch.setattr(dct, "ProcessPoolExecutor", _InProcessPool)
+    return _InProcessPool.made
+
+
+def test_pool_starts_at_the_first_size_three_level(monkeypatch, q2_pair, in_process_pool):
+    """The four benchmark searches build no pool on 2 workers: no level has
+    `_POOL_MIN_SUBSETS` rooted subsets.  With the count at 0 the pool starts
+    at size 3, and sizes 1 and 2 never start it; with the count at size 4's,
+    it starts after size 3 ran, and serves size 5 too."""
+    made = in_process_pool
+    monkeypatch.setattr(dct, "usable_cpus", lambda: 64)
+    for family, q, k_max in (("thm2", 2, 5), ("thm1", 8, 3), ("thm1", 4, 5),
+                             ("thm2", 2, 6)):
+        d = build_dictionary(family, q)
+        assert spark_bruteforce(d, k_max, workers=2) == spark_bruteforce(d, k_max)
+    assert made == []
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)
     d, _ = q2_pair
-    made = []
-
-    class Counting(dct.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(dct, "ProcessPoolExecutor", Counting)
     assert spark_bruteforce(d, 2, workers=2) == spark_bruteforce(d, 2)
     assert made == []
+    _InProcessPool.levels.clear()
     assert spark_bruteforce(d, 3, workers=2).witness == (0, 4, 11)
-    assert made == [2]
+    assert made == [(2, 0)]
+
+    d = build_dictionary("thm2", 2)
+    orbit = dct._column_orbits(_table(d.matrix))[1]
+    reps = np.flatnonzero(orbit == np.arange(d.n_cols))
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", dct._rooted_subsets(orbit, reps, 4))
+    want = spark_bruteforce(d, 5)
+    made.clear()
+    _InProcessPool.levels.clear()
+    assert spark_bruteforce(d, 5, workers=2) == want
+    assert made == [(2, 1)]
 
 
-def test_pool_is_sized_to_the_first_columns_of_size_three(monkeypatch):
-    """thm2 q=2 has 3 representatives among its size-3 first columns, so
-    64 requested workers get a pool of 3.  The stub records the request
-    but starts at most 2 processes."""
-    made = []
-
-    class Recording(dct.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            made.append(max_workers)
-            super().__init__(max_workers=min(max_workers, 2), **kwargs)
-
-    monkeypatch.setattr(dct, "ProcessPoolExecutor", Recording)
+def test_pool_is_sized_to_the_first_columns_of_size_three(monkeypatch, in_process_pool):
+    """With the pool's count at 0, thm2 q=2 has 3 representatives among its
+    size-3 first columns, so 64 requested workers on 64 usable CPUs get a
+    pool of 3, built before any level ran."""
+    made = in_process_pool
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)
+    monkeypatch.setattr(dct, "usable_cpus", lambda: 64)
     d = build_dictionary("thm2", 2)
     assert spark_bruteforce(d, 3, workers=64) == spark_bruteforce(d, 3)
-    assert made == [3]
+    assert made == [(3, 0)]
     # orbits {0, 1} and {2, 3}: column 0 is the only size-3 first column,
     # so two workers search in process
     m = np.array([[1, 0, 1, 1], [0, 1, 1, -1]], dtype=np.int8)
     assert list(dct._column_orbits(_table(m))[1]) == [0, 0, 2, 2]
     res = spark_bruteforce(_as_dictionary(m), 3, workers=2)
     assert (res.found_size, res.witness) == (3, (0, 1, 2))
-    assert made == [3]
+    assert made == [(3, 0)]
+
+
+def test_pool_never_exceeds_the_usable_cpus(monkeypatch, in_process_pool):
+    """400 requested workers on row-permuted thm1 q=4, whose 80 columns are
+    each their own orbit, ask for no more processes than the usable CPUs
+    (78 first columns at size 3), here and on a stand-in for 3 CPUs."""
+    made = in_process_pool
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)
+    d = build_dictionary("thm1", 4)
+    m = _as_dictionary(d.matrix[np.random.default_rng(0).permutation(d.dimension)])
+    want = spark_bruteforce(m, 4)
+    cpus = len(os.sched_getaffinity(0))
+    assert dct.usable_cpus() == cpus
+    assert spark_bruteforce(m, 4, workers=400) == want
+    assert [size for size, _ in made] == ([min(cpus, 78)] if cpus > 1 else [])
+    made.clear()
+    monkeypatch.setattr(dct, "usable_cpus", lambda: 3)
+    assert spark_bruteforce(m, 4, workers=400) == want
+    assert [size for size, _ in made] == [3]
+
+
+def test_rooted_subsets_match_an_itertools_count():
+    """The count of each level's searched subsets, from the orbit labels
+    alone, against the k-subsets that start at a representative and hold
+    no column of an orbit below it, on thm1 q=2 and on symmetric planted
+    matrices."""
+    rng = np.random.default_rng(4)
+    m = construct("thm1", 2).dictionary.matrix
+    for matrix in [m] + [_symmetric_planted(rng) for _ in range(5)]:
+        orbit = dct._column_orbits(_table(matrix))[1]
+        n = len(orbit)
+        reps = np.flatnonzero(orbit == np.arange(n))
+        assert 1 < reps.size < n
+        for k in range(3, min(n, 6) + 1):
+            want = sum(
+                1 for sub in itertools.combinations(range(n), k)
+                if orbit[sub[0]] == sub[0] and (orbit[list(sub)] >= sub[0]).all()
+            )
+            assert dct._rooted_subsets(orbit, reps, k) == want, (k, matrix)
 
 
 def test_bruteforce_rejects_fewer_than_one_worker(q2_pair):
