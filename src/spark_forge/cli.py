@@ -467,12 +467,6 @@ def _write(path: Path, content) -> None:
     print(f"wrote {path}")
 
 
-def _write_csv_pair(paths, dictionary, vector) -> None:
-    """The dictionary and vector CSVs, as `construct` and `export` write them."""
-    _write(paths["dictionary"], dictionary_csv(dictionary))
-    _write(paths["vector"], vector_csv(vector, dictionary.q))
-
-
 def _load_inputs(args) -> tuple:
     """Resolve (dictionary, vector, construction) from positional paths or
     --family/--q; the construction is None unless the flags built one."""
@@ -524,7 +518,8 @@ def _cmd_construct(args) -> int:
     built = dct.construct(args.family, args.q)
     dictionary, vector = built.dictionary, built.vector
     paths = _artifact_paths(args.out_dir, args.family, args.q)
-    _write_csv_pair(paths, dictionary, vector)
+    _write(paths["dictionary"], dictionary_csv(dictionary))
+    _write(paths["vector"], vector_csv(vector, dictionary.q))
     checks, gram = collect_reports(dictionary, vector, built)
     certificate = dct.spark_certify(gram, vector)
     report = run_report(
@@ -631,12 +626,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_export(args) -> int:
     built = dct.construct(args.family, args.q)
-    dictionary, vector = built.dictionary, built.vector
-    paths = _artifact_paths(args.out_dir, args.family, args.q)
-    if args.format == "csv":
-        _write_csv_pair(paths, dictionary, vector)
-    else:
-        _write(paths["json"], functools.partial(dictionary_json, dictionary, vector))
+    path = _artifact_paths(args.out_dir, args.family, args.q)["json"]
+    _write(path, functools.partial(dictionary_json, built.dictionary, built.vector))
     return 0
 
 
@@ -690,9 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("export", help="write the dictionary in csv or json form")
+    p = sub.add_parser("export", help="write the dictionary and vector as json")
     _add_family_q(p, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_export)
     return parser

@@ -46,7 +46,7 @@ import numpy as np
 from .designs import INFINITY, Label, block_labels, build_net
 from .gf import MAX_DEGREE, FieldContext
 from .hadamard import permuted_hadamard, sylvester
-from .mub import build_basis, gram_strips
+from .mub import build_basis, gram_strips, integer_peak
 from .report import CheckReport
 
 DEFAULT_SUBSET_BUDGET = 10**8
@@ -73,7 +73,8 @@ class ScaledDictionary:
 @dataclass(frozen=True)
 class SparseVector:
     """Signed support of a vector in the dictionary's coefficient space;
-    raises ValueError if a support index repeats or is outside [0, length)."""
+    raises ValueError if a support index repeats or is outside [0, length),
+    or a value is not +-1."""
 
     length: int
     support: tuple[tuple[int, int], ...]  # (index, value), ascending, values +-1
@@ -83,6 +84,8 @@ class SparseVector:
         ids = {i for i, _ in self.support}
         if len(ids) < len(self.support) or not all(0 <= i < self.length for i in ids):
             raise ValueError(f"support indices repeat or leave [0, {self.length})")
+        if any(v not in (-1, 1) for _, v in self.support):
+            raise ValueError("support values must be +1 or -1")
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.length, dtype=np.int64)
@@ -218,7 +221,7 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
             )
         rep.count(d * d * later)
         np.fill_diagonal(strip[:, :d], 0)
-        largest = max(largest, int(strip.max()), -int(strip.min()))
+        largest = max(largest, int(np.abs(strip, out=strip).max()))
     if largest == 0:
         # only zero columns can be dependent, and the bounds divide by mu
         raise ValueError("coherence is zero: no coherence bound applies")
@@ -547,17 +550,21 @@ def _run_level(cols, k, orbit, reps, workers, pool, bound):
     return None
 
 
-def _minors_overflow(a, j):
-    """Whether twice the square of Hadamard's bound a^j * j^(j/2) on the
-    j-minors of a matrix with entries of magnitude at most a reaches 2^63.
-    A fraction-free update subtracts two products of such minors, so below
-    that it cannot overflow int64."""
-    return j >= 1 and 2 * a ** (2 * j) * j**j >= 2**63
+def _minors_overflow(a, j, caller):
+    """Raise ValueError, naming `caller`, when twice the square of Hadamard's
+    bound a^j * j^(j/2) on the j-minors of a matrix with entries of
+    magnitude at most a reaches 2^63.  A fraction-free update subtracts two
+    products of such minors, so below that it cannot overflow int64."""
+    if j >= 1 and 2 * a ** (2 * j) * j**j >= 2**63:
+        raise ValueError(
+            f"{caller} could overflow int64: twice the square of Hadamard's "
+            f"bound on the {j}-minors ({a}^{j} * {j}^({j}/2)) is not below 2^63"
+        )
 
 
 def _check_minor_bound(matrix, k):
-    """Refuse a search to size k whose int16 column table or int64
-    elimination could overflow.
+    """Refuse a search to size k on entries that `integer_peak` refuses, or
+    whose int16 column table or int64 elimination could overflow.
 
     Every search reads the table, which holds an entry and its negative
     exactly only below magnitude 2^15, so that is checked at every k.  The
@@ -570,17 +577,10 @@ def _check_minor_bound(matrix, k):
     still the difference of two products of (depth+1)-minors, so the same
     bound covers it.
     """
-    # abs() would wrap at the dtype's minimum; `initial` covers no entries
-    a = max(-int(matrix.min(initial=0)), int(matrix.max(initial=0)))
+    a = integer_peak(matrix)
     if a >= 2**15:
         raise ValueError(f"entry of magnitude {a} >= 2^15 does not fit the int16 table")
-    j = min(k - 1, matrix.shape[0])
-    if _minors_overflow(a, j):
-        raise ValueError(
-            f"a search to size {k} could overflow int64: twice the square of "
-            f"Hadamard's bound on the {j}-minors ({a}^{j} * {j}^({j}/2)) is "
-            "not below 2^63"
-        )
+    _minors_overflow(a, min(k - 1, matrix.shape[0]), f"a search to size {k}")
 
 
 def spark_bruteforce(
@@ -601,10 +601,11 @@ def spark_bruteforce(
     than `workers`, that size's first columns or the usable CPUs.  The
     budget caps the total number of subsets the search is allowed to plan
     for (a priori, by binomial counts), degrading k_max rather than
-    aborting mid-run; it must cover at least the single columns.  Raises ValueError when k_max or workers is below 1, an entry
-    has magnitude 2^15 or more, or the int64 elimination could overflow at
-    the planned depth, and RuntimeError if a witness fails its exact rank
-    re-check.
+    aborting mid-run; it must cover at least the single columns.  Raises
+    ValueError when k_max or workers is below 1, an entry is not an integer
+    (`mub.integer_peak`) or has magnitude 2^15 or more, or the int64
+    elimination could overflow at the planned depth, and RuntimeError if a
+    witness fails its exact rank re-check.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -676,24 +677,15 @@ def spark_bruteforce(
 def exact_rank(matrix: np.typing.ArrayLike) -> int:
     """Rank over the rationals by fraction-free elimination on int64.
 
-    Raises ValueError unless every entry is an integer or boolean that fits
-    int64, and when an update could overflow int64: when twice the square of
-    Hadamard's bound on the j-minors, j = min(rows, cols) - 1, is not below
-    2^63.
+    Raises ValueError for entries that `mub.integer_peak` refuses, and when
+    an update could overflow int64: when twice the square of Hadamard's
+    bound on the j-minors, j = min(rows, cols) - 1, is not below 2^63.
     """
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError("exact_rank expects a 2-d matrix")
-    # numpy keeps Python ints past 64 bits as objects, and uint64 past 2^63
-    if m.dtype.kind not in "biu" or int(m.max(initial=0)) >= 2**63:
-        raise ValueError(f"exact_rank expects integers that fit int64, got {m.dtype}")
+    _minors_overflow(integer_peak(m), min(m.shape) - 1, "exact_rank")
     m = m.astype(np.int64)
-    j = min(m.shape) - 1
-    if _minors_overflow(max(-int(m.min(initial=0)), int(m.max(initial=0))), j):
-        raise ValueError(
-            f"exact_rank could overflow int64: twice the square of Hadamard's "
-            f"bound on the {j}-minors is not below 2^63"
-        )
     rank = 0
     prev = 1
     rows, cols = m.shape

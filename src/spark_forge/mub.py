@@ -14,7 +14,9 @@ checks together, and `designs.verify_net` reads the net's inner products
 from it, one family at a time.  The strips are float32 BLAS products,
 exact while every Gram entry and partial sum stays below 2^24 in
 magnitude; the bound rows * max|entry|^2 is checked on the actual matrix
-before each pass, and int64 arithmetic is used when it fails.
+before each pass, int64 is used when it fails, and a bound past int64 is
+refused.  `integer_peak` is the input rule of every exact kernel, here and
+in `dictionaries`, and gives the entry magnitude their bounds start from.
 """
 
 from __future__ import annotations
@@ -48,6 +50,19 @@ def build_basis(net: np.ndarray, hs: np.ndarray, b: Label) -> np.ndarray:
 FLOAT32_EXACT_LIMIT = 2**24
 
 
+def integer_peak(matrix: np.ndarray) -> int:
+    """Largest entry magnitude, 0 if there is none: the input rule of every
+    exact kernel.  ValueError unless the dtype is integer or boolean and
+    every entry fits int64; floats are refused even when whole."""
+    if matrix.dtype.kind not in "biu":
+        raise ValueError(f"expected integers that fit int64, got {matrix.dtype}")
+    # max(-min, max) and not abs().max(): abs(-128) wraps around in int8
+    low, high = int(matrix.min(initial=0)), int(matrix.max(initial=0))
+    if high >= 2**63:
+        raise ValueError(f"entry {high} does not fit int64")
+    return max(-low, high)
+
+
 def gram_strips(matrix: np.ndarray, width: int) -> Iterator[np.ndarray]:
     """Exact Gram matrix of the column blocks of `matrix`, one block row at a
     time.
@@ -56,16 +71,17 @@ def gram_strips(matrix: np.ndarray, width: int) -> Iterator[np.ndarray]:
     is block_i^T @ [block_i, ..., block_last], of shape width x (n_cols -
     i*width); the full n_cols x n_cols Gram matrix is never formed.
 
-    Every product and partial sum is an integer of magnitude at most rows *
-    max|entry|^2.  When that bound is below 2^24 the strips are float32 BLAS
-    products, which are then exact; otherwise they are int64 products.
+    Entries must pass `integer_peak`.  Products and partial sums are integers
+    of magnitude at most rows * max|entry|^2: the strips are exact float32
+    BLAS products below 2^24, int64 ones below 2^63, and ValueError beyond.
     """
     rows, cols = matrix.shape
     if width < 1 or cols % width:
         raise ValueError(f"{cols} columns do not split into blocks of {width}")
-    # max(-min, max) and not abs().max(): abs(-128) wraps around in int8
-    peak = max(-int(matrix.min()), int(matrix.max())) if matrix.size else 0
-    exact = np.float32 if rows * peak * peak < FLOAT32_EXACT_LIMIT else np.int64
+    bound = rows * integer_peak(matrix) ** 2
+    if bound >= 2**63:
+        raise ValueError(f"Gram entries up to {bound} do not fit int64")
+    exact = np.float32 if bound < FLOAT32_EXACT_LIMIT else np.int64
     m = matrix.astype(exact)
     for start in range(0, cols, width):
         yield m[:, start : start + width].T @ m[:, start:]

@@ -169,17 +169,18 @@ def test_render_all_zero_vector(tmp_path):
     assert svg.count("#bbbbbb") == 24 + 12  # strip is all gray
 
 
-def test_export_csv_matches_construct(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    main(["construct", "--family", "thm1", "--q", "2", "--out-dir", str(a)])
-    main(["export", "--family", "thm1", "--q", "2", "--format", "csv",
-          "--out-dir", str(b)])
-    assert (a / "dictionary_thm1_q2.csv").read_bytes() == (
-        b / "dictionary_thm1_q2.csv"
-    ).read_bytes()
-    assert (a / "vector_thm1_q2.csv").read_bytes() == (
-        b / "vector_thm1_q2.csv"
-    ).read_bytes()
+def test_export_writes_only_the_json(tmp_path):
+    """`construct` writes the CSVs; `export` has no CSV form to repeat them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--family", "thm1", "--q", "2", "--format", "csv",
+              "--out-dir", str(tmp_path / "csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "csv").exists()
+    for argv in ([], ["--format", "json"]):
+        out = tmp_path / f"json{len(argv)}"
+        assert main(["export", "--family", "thm1", "--q", "2", *argv,
+                     "--out-dir", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["dictionary_thm1_q2.json"]
 
 
 def test_export_json_carries_layout(tmp_path):

@@ -1,10 +1,11 @@
-"""Smoke test: demos 01-04 and the README's library quickstart run to
-completion against the package in src/.  Demo 05 runs as a copy in a
-temporary directory, so its figures land there and not in demos/output/;
-they must equal the per-entry SVG oracle.
+"""Smoke test: demos 01-04, the README's library quickstart and its
+command-line block run to completion against the package in src/.  Demo
+05 runs as a copy in a temporary directory, so its figures land there and
+not in demos/output/; they must equal the per-entry SVG oracle.
 """
 
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 from test_artifact_io import render_svg_oracle
 
 import spark_forge as sf
+from spark_forge import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
@@ -25,6 +27,23 @@ ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 def _quickstart() -> str:
     """The first python block of the README."""
     return README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _command_lines() -> list[str]:
+    """The `spark-forge ...` lines of the README's command-line block."""
+    block = README.read_text().split("## Command line\n", 1)[1]
+    block = block.split("```\n", 2)[1]
+    return [ln for ln in block.splitlines() if ln.startswith("spark-forge ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Each documented command, in order (a later one may read what an
+    earlier one wrote), exits 0 when run from an empty directory."""
+    lines = _command_lines()
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
 
 
 def test_demo_set_is_complete():

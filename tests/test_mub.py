@@ -14,8 +14,11 @@ from spark_forge import (
     build_basis,
     build_dictionary,
     build_net,
+    exact_rank,
     gram_check,
     permuted_hadamard,
+    spark_bruteforce,
+    verify_net,
 )
 from spark_forge.mub import gram_strips
 
@@ -224,3 +227,57 @@ def test_gram_strips_int64_fallback_past_the_bound():
 def test_gram_strips_block_guard():
     with pytest.raises(ValueError):
         next(gram_strips(np.zeros((4, 6), dtype=np.int8), 4))
+
+
+def _dictionary(matrix):
+    return ScaledDictionary("thm1", 2, matrix.shape[0], 1, matrix, (0,))
+
+
+# Every exact kernel, fed one matrix whose column count its block width
+# divides.  verify_net reads the entries tiled into a q = 2 net.
+GRAM_KERNELS = {
+    "gram_strips": lambda m: next(gram_strips(m, m.shape[0])),
+    "gram_check": lambda m: gram_check(_dictionary(m)),
+    "verify_net": lambda m: verify_net(np.resize(m, (3, 2, 4))),
+}
+OTHER_KERNELS = {
+    **{f"spark_bruteforce-k{k}": (lambda m, k=k: spark_bruteforce(_dictionary(m), k))
+       for k in (1, 2, 3)},
+    "exact_rank": exact_rank,
+}
+BAD_INPUTS = {
+    # columns 0 and 1 are parallel; truncated to int they are not
+    "float-fraction": np.array([[1.5, 3.0], [1.0, 2.0]]),
+    "float-whole": np.array([[2.0, 0.0], [0.0, 2.0]]),
+    "object-2^70": np.array([[2**70, 0], [0, 1]], dtype=object),
+    # one row: exact_rank bounds no minor, so only the int64 rule refuses it
+    "uint64-2^63": np.array([[2**63, 1]], dtype=np.uint64),
+    # Gram entries reach 2^64; the search's table and exact_rank's Hadamard
+    # bound refuse it as well
+    "int64-2^32": np.array([[2**32, 0], [0, 2**32]]),
+}
+# Entries -2^15 that abs() would wrap to themselves in int16: the search's
+# table and exact_rank's Hadamard bound on the 2-minors (2 * 2^60 * 2^2 =
+# 2^63) refuse it, while its Gram bound 3 * 2^30 fits int64.
+INT16_MINIMUM = np.array([[-(2**15), 1, 1], [1, -(2**15), 1], [1, 1, -(2**15)]],
+                         dtype=np.int16)
+REFUSALS = [
+    pytest.param(kernel, matrix, id=f"{name}-{label}")
+    for kernels, inputs in (
+        (GRAM_KERNELS, BAD_INPUTS),
+        (OTHER_KERNELS, {**BAD_INPUTS, "int16-minimum": INT16_MINIMUM}),
+    )
+    for name, kernel in kernels.items()
+    for label, matrix in inputs.items()
+]
+
+
+@pytest.mark.parametrize(("kernel", "matrix"), REFUSALS)
+def test_every_exact_kernel_refuses_every_bad_input(kernel, matrix):
+    """One rule, `mub.integer_peak`, decides what an exact kernel accepts:
+    floats are never truncated, whole ones included, entries past int64 are
+    refused, and no bound is computed from a magnitude that wrapped.  Each
+    refusal names the integer type it protects, so that no other ValueError,
+    such as gram_check's zero coherence, stands in for it."""
+    with pytest.raises(ValueError, match="int16|int64"):
+        kernel(matrix)

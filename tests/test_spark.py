@@ -562,6 +562,17 @@ def test_sparse_vector_refuses_out_of_range_or_repeated_indices(q2_pair):
     assert spark_certify(gram_check(d), SparseVector(12, x.support, "thm1")).spark == 3
 
 
+def test_sparse_vector_refuses_values_other_than_plus_or_minus_one(q2_pair):
+    """A zero vector written as value-0 entries would pass `apply` and
+    certify spark 3, and a value past int64 would make `apply` overflow."""
+    d, x = q2_pair
+    zeros = tuple((i, 0) for i, _ in x.support)
+    for support in (zeros, ((0, 2),), ((0, -2),), ((0, 2**70),)):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            SparseVector(12, support, "thm1")
+    assert spark_certify(gram_check(d), SparseVector(12, x.support, "thm1")).spark == 3
+
+
 def test_bruteforce_rejects_budget_below_single_columns(q2_pair):
     d, _ = q2_pair
     for budget in (-5, 0, 11):
