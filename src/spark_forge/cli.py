@@ -215,7 +215,8 @@ def read_dictionary(path: str | Path, text: str | None = None) -> dct.ScaledDict
 def read_vector(
     path: str | Path, text: str | None = None
 ) -> tuple[dct.SparseVector, int]:
-    """Parse a sparse-vector CSV; `text` as in `read_dictionary`."""
+    """Parse a sparse-vector CSV; `text` as in `read_dictionary`.  The support
+    lines are sorted, and `SparseVector` applies the support rules."""
     if text is None:
         text = _read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -229,18 +230,28 @@ def read_vector(
     for ln in lines[1:]:
         try:
             idx_s, val_s = ln.split(",")
-            idx, val = int(idx_s), int(val_s)
+            support.append((int(idx_s), int(val_s)))
         except ValueError as exc:
             raise InputError(f"{path}: malformed support line {ln!r}") from exc
-        if not 0 <= idx < length or val not in (-1, 1):
-            raise InputError(f"{path}: bad support entry {ln!r}")
-        support.append((idx, val))
-    support.sort()
-    # a repeated index would make the support size wrong, or hide a zero
-    # vector behind entries that cancel
-    if len({idx for idx, _ in support}) != len(support):
-        raise InputError(f"{path}: repeated support index")
-    return dct.SparseVector(length, tuple(support), meta["family"]), q
+    try:
+        return dct.SparseVector(length, tuple(sorted(support)), meta["family"]), q
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _description(d: dct.ScaledDictionary, x: dct.SparseVector | None) -> dict:
+    """The fields describing a dictionary and its vector in every JSON file."""
+    return {
+        "family": d.family,
+        "q": d.q,
+        "scale_sq": d.scale_sq,
+        "layout": "block-major",
+        "block_labels": list(d.block_labels),
+        "dimensions": {"rows": d.dimension, "cols": d.n_cols},
+        "null_vector": None
+        if x is None
+        else {"length": x.length, "support": [[i, v] for i, v in x.support]},
+    }
 
 
 def dictionary_json(
@@ -248,20 +259,7 @@ def dictionary_json(
 ) -> None:
     """Write the JSON export into the binary file `out`, one matrix row at a
     time."""
-    payload = {
-        "schema": "spark-forge dictionary v1",
-        "family": d.family,
-        "q": d.q,
-        "scale_sq": d.scale_sq,
-        "layout": "block-major",
-        "block_labels": list(d.block_labels),
-        "dimensions": {"rows": d.dimension, "cols": d.n_cols},
-        "matrix": 0,
-        "null_vector": {
-            "length": x.length,
-            "support": [[i, v] for i, v in x.support],
-        },
-    }
+    payload = {"schema": "spark-forge dictionary v1", **_description(d, x), "matrix": 0}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     # JSON_CELLS follow indent=2; json escapes newlines in strings, so only
     # the top-level key can start a line '  "matrix": '
@@ -283,11 +281,12 @@ def collect_reports(
     dictionary: dct.ScaledDictionary,
     vector: dct.SparseVector | None,
     built: dct.Construction,
-) -> tuple[list[CheckReport], dct.GramCheck]:
-    """Every named structural verifier: the machinery checks on `built`, the
-    construction of the dictionary's family and q, and the dictionary and
-    vector checks on the given artifacts.  Also returns the dictionary's
-    Gram pass, which the spark certificate takes."""
+) -> tuple[list[CheckReport], dct.SparkCertificate | None]:
+    """The one certification step of `construct` and `verify`: every named
+    structural verifier (the machinery checks on `built`, the construction
+    of the dictionary's family and q, and the checks of the given artifacts)
+    and the spark certificate, which is None unless the vector passes
+    `kernel_check` and every block is orthonormal, as the bounds assume."""
     field = built.field
     reports = [
         verify_mols([latin_square(field, r) for r in range(field.q)]),
@@ -312,17 +311,13 @@ def collect_reports(
     gram = dct.gram_check(dictionary)
     reports.append(gram.report)
 
+    certificate = None
     if vector is not None:
-        kernel_rep = CheckReport("kernel-vector")
-        bad_rows = np.flatnonzero(dct.apply(dictionary, vector))
-        kernel_rep.require(
-            bool(vector.support) and not bad_rows.size,
-            f"matrix @ vector has nonzero entry at row {int(bad_rows[0])}"
-            if bad_rows.size
-            else "vector is zero",
-        )
-        reports.append(kernel_rep)
-    return reports, gram
+        kernel = dct.kernel_check(dictionary, vector)
+        reports.append(kernel)
+        if kernel.passed and gram.orthonormal:
+            certificate = dct.spark_certify(gram, vector)
+    return reports, certificate
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +338,10 @@ def run_report(
     elapsed: float,
 ) -> dict:
     brute = certificate.brute_force if certificate else None
-    report = {
+    return {
         "schema": "spark-forge run report v1",
         "command": command,
-        "family": dictionary.family,
-        "q": dictionary.q,
-        "scale_sq": dictionary.scale_sq,
-        "layout": "block-major",
-        "block_labels": list(dictionary.block_labels),
-        "dimensions": {"rows": dictionary.dimension, "cols": dictionary.n_cols},
+        **_description(dictionary, vector),
         "coherence": _frac(certificate.coherence) if certificate else None,
         "bounds": {
             "general": _frac(certificate.general_bound) if certificate else None,
@@ -367,9 +357,6 @@ def run_report(
             "eta_mu": _frac(certificate.eta_mu),
             "general_bound_relation": certificate.general_bound_relation,
         },
-        "null_vector": None
-        if vector is None
-        else {"length": vector.length, "support": [[i, v] for i, v in vector.support]},
         "brute_force": None
         if brute is None
         else {
@@ -391,7 +378,6 @@ def run_report(
         ],
         "timing": {"elapsed_seconds": round(elapsed, 6)},
     }
-    return report
 
 
 def report_json(report: dict) -> str:
@@ -520,15 +506,13 @@ def _cmd_construct(args) -> int:
     paths = _artifact_paths(args.out_dir, args.family, args.q)
     _write(paths["dictionary"], dictionary_csv(dictionary))
     _write(paths["vector"], vector_csv(vector, dictionary.q))
-    checks, gram = collect_reports(dictionary, vector, built)
-    certificate = dct.spark_certify(gram, vector)
+    checks, certificate = collect_reports(dictionary, vector, built)
     report = run_report(
         "construct", dictionary, vector, certificate, checks,
         time.perf_counter() - started,
     )
     _write(paths["report"], report_json(report))
-    failed = [rep for rep in checks if not rep.passed]
-    return 1 if failed else 0
+    return 0 if all(rep.passed for rep in checks) else 1
 
 
 def _cmd_verify(args) -> int:
@@ -536,17 +520,13 @@ def _cmd_verify(args) -> int:
     dictionary, vector, built = _load_inputs(args)
     if built is None:
         built = dct.construct(dictionary.family, dictionary.q)
-    checks, gram = collect_reports(dictionary, vector, built)
+    checks, certificate = collect_reports(dictionary, vector, built)
     recon = CheckReport("matches-construction")
     recon.require(
         np.array_equal(dictionary.matrix, built.dictionary.matrix),
         "matrix differs from the deterministic construction",
     )
     checks.append(recon)
-    certificate = None
-    kernel = next((rep for rep in checks if rep.name == "kernel-vector"), None)
-    if kernel is not None and kernel.passed and gram.orthonormal:
-        certificate = dct.spark_certify(gram, vector)
     for rep in checks:
         print(rep.summary())
     if certificate is not None:

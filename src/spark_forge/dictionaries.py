@@ -29,7 +29,7 @@ coherence; the strips are float32 BLAS products, exact because every entry
 and partial sum is an integer below 2^24 in magnitude (checked at run
 time, with an int64 fallback).  A spark certificate takes that pass, so
 the coherence bounds are applied only where their hypothesis, orthonormal
-blocks, was checked.
+blocks, was checked, and a vector only once it passes `kernel_check`.
 """
 
 from __future__ import annotations
@@ -72,18 +72,24 @@ class ScaledDictionary:
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Signed support of a vector in the dictionary's coefficient space;
-    raises ValueError if a support index repeats or is outside [0, length),
-    or a value is not +-1."""
+    """Signed support of a vector in the dictionary's coefficient space.  The
+    one owner of the support rules: it raises ValueError, one message per
+    rule, if an index is outside [0, length), repeats or is out of ascending
+    order, or a value is not +-1, so no reader restates them."""
 
     length: int
     support: tuple[tuple[int, int], ...]  # (index, value), ascending, values +-1
     family: str
 
     def __post_init__(self):
-        ids = {i for i, _ in self.support}
-        if len(ids) < len(self.support) or not all(0 <= i < self.length for i in ids):
-            raise ValueError(f"support indices repeat or leave [0, {self.length})")
+        ids = [i for i, _ in self.support]
+        for i in ids:
+            if not 0 <= i < self.length:
+                raise ValueError(f"support index {i} outside [0, {self.length})")
+        if len(set(ids)) < len(ids):
+            raise ValueError("repeated support index")
+        if ids != sorted(ids):
+            raise ValueError("support indices are not ascending")
         if any(v not in (-1, 1) for _, v in self.support):
             raise ValueError("support values must be +1 or -1")
 
@@ -174,6 +180,19 @@ def apply(dictionary: ScaledDictionary, x: SparseVector) -> np.ndarray:
     for idx, val in x.support:
         out += val * dictionary.matrix[:, idx].astype(np.int64)
     return out
+
+
+def kernel_check(dictionary: ScaledDictionary, x: SparseVector) -> CheckReport:
+    """The one kernel test: x is nonzero and the matrix maps it to zero."""
+    rep = CheckReport("kernel-vector")
+    bad_rows = np.flatnonzero(apply(dictionary, x))
+    rep.require(
+        bool(x.support) and not bad_rows.size,
+        f"matrix @ vector has nonzero entry at row {int(bad_rows[0])}"
+        if bad_rows.size
+        else "vector is zero",
+    )
+    return rep
 
 
 @dataclass(frozen=True)
@@ -748,15 +767,14 @@ def spark_certify(
 ) -> SparkCertificate:
     """Certify the spark of the dictionary `gram` checked, from the
     coherence bounds, the kernel vector x, and optionally a brute-force
-    search result.  Raises ValueError unless the blocks are orthonormal,
-    the hypothesis of the union bound (and, through unit-norm columns, of
-    the general one)."""
+    search result.  Raises ValueError with the first failure of
+    `kernel_check` unless x passes it, and unless the blocks are
+    orthonormal, the hypothesis of the union bound (and, through unit-norm
+    columns, of the general one)."""
     dictionary, mu = gram.dictionary, gram.coherence
-    if not x.support:
-        raise ValueError("kernel vector is zero")
-    residual = apply(dictionary, x)
-    if residual.any():
-        raise ValueError("vector is not in the kernel of the dictionary")
+    kernel = kernel_check(dictionary, x)
+    if not kernel.passed:
+        raise ValueError(f"not a kernel vector: {kernel.failures[0]}")
     if not gram.orthonormal:
         raise ValueError("the blocks are not orthonormal: no coherence bound applies")
     general = 1 + 1 / mu

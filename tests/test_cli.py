@@ -437,6 +437,60 @@ def test_reader_rejects_repeated_vector_index(tmp_path, capsys):
     assert "repeated support index" in capsys.readouterr().err
 
 
+def test_vector_reader_refuses_with_the_sparse_vector_message(tmp_path):
+    """`SparseVector` owns the support rules; the reader only adds the path."""
+    header = GOLDEN_Q2_VECTOR.splitlines()[0]
+    vec = tmp_path / "vector.csv"
+    for lines, message in (
+        ("12,1", "support index 12 outside [0, 12)"),
+        ("0,2", "support values must be +1 or -1"),
+        ("5,1\n5,-1", "repeated support index"),
+    ):
+        vec.write_text(f"{header}\n{lines}\n")
+        with pytest.raises(InputError) as refused:
+            read_vector(vec)
+        assert str(refused.value) == f"{vec}: {message}"
+
+
+def test_vector_support_ascends_and_round_trips():
+    """An unsorted support would read back from its CSV, which the reader
+    sorts, as a different vector; so `SparseVector` refuses it."""
+    with pytest.raises(ValueError, match="^support indices are not ascending$"):
+        dictionaries.SparseVector(12, ((8, 1), (0, 1), (7, -1)), "thm1")
+    for family, qs in dictionaries.FAMILY_Q.items():
+        for q in qs:
+            x = dictionaries.build_null_vector(family, q)
+            assert read_vector("vector.csv", cli.vector_csv(x, q)) == (x, q)
+
+
+def test_construct_certifies_as_verify_does(tmp_path, monkeypatch, capsys):
+    """A construction whose blocks are not orthonormal gets no certificate
+    from `construct`, as from `verify`: exit 1, and a report whose spark and
+    coherence are null."""
+    built = dictionaries.construct("thm1", 2)
+    matrix = built.dictionary.matrix.copy()
+    matrix[:, 5] = 0  # block 1 is not orthonormal; the kernel vector still passes
+    broken = dataclasses.replace(
+        built, dictionary=dataclasses.replace(built.dictionary, matrix=matrix)
+    )
+    monkeypatch.setattr(dictionaries, "construct", lambda family, q: broken)
+    out = ["--out-dir", str(tmp_path)]
+    assert main(["construct", "--family", "thm1", "--q", "2"] + out) == 1
+    path = tmp_path / "report_thm1_q2.json"
+    constructed = json.loads(path.read_text())
+    kinds = ("dictionary", "vector")
+    inputs = [str(tmp_path / f"{kind}_thm1_q2.csv") for kind in kinds]
+    assert main(["verify"] + inputs + out) == 1
+    verified = json.loads(path.read_text())
+    for report in (constructed, verified):
+        assert report["spark"] is None and report["coherence"] is None
+        checks = {c["name"]: c["passed"] for c in report["checks"]}
+        assert not checks["mub-family"] and checks["kernel-vector"]
+    # verify adds only its comparison with the construction
+    assert verified["checks"][:-1] == constructed["checks"]
+    assert "FAIL mub-family" in capsys.readouterr().out
+
+
 def test_spark_rejects_budget_below_columns(capsys):
     argv = ["spark", "--family", "thm1", "--q", "2", "--brute-force",
             "--k-max", "3", "--workers", "1"]

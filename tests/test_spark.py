@@ -232,6 +232,26 @@ def test_certify_rejects_non_kernel_vectors(q2_pair):
         spark_certify(gram_check(d), SparseVector(12, (), "thm1"))
 
 
+def test_certify_refusal_ends_with_the_kernel_check_failure(q2_pair):
+    """`spark_certify` refuses a vector with the first failure of the one
+    kernel test, `kernel_check`, which the run reports also show."""
+    d, _ = q2_pair
+    for vector, failure in (
+        (SparseVector(12, (), "thm1"), "vector is zero"),
+        (
+            SparseVector(12, ((0, 1), (1, 1)), "thm1"),
+            "matrix @ vector has nonzero entry at row 0",
+        ),
+    ):
+        with pytest.raises(ValueError) as refused:
+            spark_certify(gram_check(d), vector)
+        assert str(refused.value).endswith(failure)
+        report = dct.kernel_check(d, vector)
+        assert (report.name, report.checks, report.failures) == (
+            "kernel-vector", 1, [failure],
+        )
+
+
 def test_result_reports_budget_and_plan(q2_pair):
     d, _ = q2_pair
     res = spark_bruteforce(d, 3, budget=10**6)
@@ -555,9 +575,17 @@ def test_sparse_vector_refuses_out_of_range_or_repeated_indices(q2_pair):
     would hide the support size."""
     d, x = q2_pair
     assert x.support[0][0] == 0
-    for support in (((-12, x.support[0][1]),) + x.support[1:], ((-1, 1),),
-                    ((99, 1),), ((12, 1),), ((3, 1), (3, -1))):
-        with pytest.raises(ValueError, match=r"repeat or leave \[0, 12\)"):
+    for support, message in (
+        (
+            ((-12, x.support[0][1]),) + x.support[1:],
+            r"support index -12 outside \[0, 12\)",
+        ),
+        (((-1, 1),), r"support index -1 outside \[0, 12\)"),
+        (((99, 1),), r"support index 99 outside \[0, 12\)"),
+        (((12, 1),), r"support index 12 outside \[0, 12\)"),
+        (((3, 1), (3, -1)), "repeated support index"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SparseVector(12, support, "thm1")
     assert spark_certify(gram_check(d), SparseVector(12, x.support, "thm1")).spark == 3
 
