@@ -12,15 +12,18 @@ followed by the rows of the scaled matrix as comma-separated integers in
 
 followed by one `index,value` line per nonzero entry.  Run reports are
 key-sorted JSON; two runs with the same inputs differ at most in the
-"timing" object.  Matrix text is written from tables of byte cells.  The
-SVG figure and the JSON export go straight into the open output file, one
-matrix row at a time, so neither text is ever held whole: at thm1 q=16
-(72 MB of SVG, 10 MB of JSON) the writers peak at about 3.4 MiB and 0.3 MiB
-under tracemalloc.  Every artifact is written to a temporary file beside
-it and renamed onto its path only once closed, so a failed write leaves
-an earlier artifact as it was.  A dictionary CSV exactly as written is
-read from bytes, checked by writing it back; other text gets the tolerant
-per-token parse, with the same result.
+"timing" object.  CSV and JSON matrix text is written from one row
+template: the template row is copied once per matrix row, each entry's
+byte goes in through one strided write, and one replace expands the byte
+standing in for -1.  The SVG figure and the JSON export go straight into
+the open output file, one matrix row or a chunk of rows at a time, so
+neither text is ever held whole: at thm1 q=16 (72 MB of SVG, 10 MB of JSON)
+the writers peak at about 3.4 MiB and 1.7 MiB under tracemalloc.  Every
+artifact is written to a temporary file beside it and renamed onto its
+path only once closed, so a failed write leaves an earlier artifact as it
+was.  A dictionary CSV exactly as written is read from bytes, and accepted
+only if the template rows of the parsed matrix match it; other text gets
+the tolerant per-token parse, with the same result.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -68,16 +71,16 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _cells(sep: str, end: str, indent="", head="", tail="") -> np.ndarray:
-    """Table of byte strings, NUL-padded to one width: [k, v + 1] is the text
-    of entry v in a column of kind k, 0 inner, 1 first, 2 last, 3 both."""
-    kinds = [("", sep), (head, sep), ("", end + tail), (head, end + tail)]
-    texts = [f"{h}{indent}{v}{e}".encode() for h, e in kinds for v in (-1, 0, 1)]
-    return np.array(texts, f"V{max(map(len, texts))}").reshape(4, 3)
-
-
-CSV_CELLS = _cells(",", "\n")
-JSON_CELLS = _cells(",\n", "\n", indent=" " * 6, head="    [\n", tail="    ],\n")
+# Row templates (row head, cell with one slot byte, row end): a row is the
+# head, one cell per column without the last cell's separator, and the end.
+CSV_CELLS = (b"", b"?,", b"\n")
+JSON_CELLS = (b"    [\n", b"      ?,\n", b"\n    ],\n")
+# Entry v fills its slot with the byte ord("0") + v, so -1 stands in as "/",
+# which no template holds; one replace expands it.
+_MINUS = b"/"
+_SLOT_VALUES = np.zeros(256, np.int8)  # entry of each slot byte, 0 if none
+_SLOT_VALUES[list(_MINUS + b"01")] = (-1, 0, 1)
+_JSON_CHUNK = 1 << 16  # entries per dictionary_json write
 
 
 def _entry_index(values: np.ndarray) -> np.ndarray:
@@ -87,12 +90,27 @@ def _entry_index(values: np.ndarray) -> np.ndarray:
     return values + 1
 
 
-def _cell_rows(matrix: np.ndarray, cells: np.ndarray) -> bytes:
-    """The rows of `matrix` as text, built in one buffer of cells rather
-    than as a string per entry."""
-    col = np.arange(matrix.shape[1])
-    kind = (col == 0) + 2 * (col == col.size - 1)
-    return cells[kind, _entry_index(matrix)].tobytes().translate(None, b"\0")
+def _row_grid(matrix: np.ndarray, cells: tuple[bytes, bytes, bytes]) -> np.ndarray:
+    """The rows of `matrix` as text with -1 written as _MINUS, one row of
+    bytes per matrix row: the template row, copied, then one strided write
+    of the slot bytes."""
+    rows, cols = matrix.shape
+    if not matrix.size:
+        return np.zeros((0, 0), np.uint8)
+    head, cell, end = cells
+    slot = cell.index(b"?")
+    line = head + cell * (cols - 1) + cell[: slot + 1] + end
+    grid = np.empty((rows, len(line)), np.uint8)
+    grid[:] = np.frombuffer(line, np.uint8)
+    first, step = len(head) + slot, len(cell)
+    grid[:, first : first + cols * step : step] = _entry_index(matrix) + ord(_MINUS)
+    return grid
+
+
+def _cell_rows(matrix: np.ndarray, cells: tuple[bytes, bytes, bytes]) -> bytes:
+    """The rows of `matrix` as text, built from one row template rather than
+    as a string per entry."""
+    return _row_grid(matrix, cells).tobytes().replace(_MINUS, b"-1")
 
 
 def dictionary_csv(d: dct.ScaledDictionary) -> str:
@@ -154,17 +172,21 @@ def _canonical_matrix(header: str, text: str) -> np.ndarray | None:
     # splitlines also ends a line at \r, \x0b, \x0c, \x1c-\x1e, \x85, \u2028, ...
     if not header.strip() or header.splitlines() != [header] or not text.isascii():
         return None
-    raw, start = text.encode(), len(header) + 1
-    full = np.frombuffer(raw, np.uint8)
-    digit = (full[start:] == ord("0")) | (full[start:] == ord("1"))
-    values = full[start:][digit].view(np.int8) - ord("0")
-    values[(full[start - 1 : -1] == ord("-"))[digit]] *= -1
-    del digit  # the round trip below is the peak of a read
-    rows = raw.count(b"\n", start)
-    if not rows or values.size % rows:
+    if _MINUS.decode() in text:
         return None
-    matrix = values.reshape(rows, -1)
-    return matrix if _cell_rows(matrix, CSV_CELLS) == raw[start:] else None
+    # the header holds no \n, so the first one still ends it after the replace
+    raw = text.encode().replace(b"-1", _MINUS)
+    start = raw.find(b"\n") + 1
+    rows = raw.count(b"\n", start)
+    if not rows or (len(raw) - start) % (2 * rows):
+        return None
+    # each row is "one slot byte, one separator" per entry
+    grid = np.frombuffer(raw, np.uint8, offset=start).reshape(rows, -1)
+    matrix = _SLOT_VALUES[grid[:, ::2]]
+    # the text holds no _MINUS, so the replace is undone exactly, and this is
+    # the check that dictionary_csv writes the matrix as the lines after the
+    # header, without a second copy of the text
+    return matrix if np.array_equal(_row_grid(matrix, CSV_CELLS), grid) else None
 
 
 def read_dictionary(path: str | Path, text: str | None = None) -> dct.ScaledDictionary:
@@ -257,18 +279,20 @@ def _description(d: dct.ScaledDictionary, x: dct.SparseVector | None) -> dict:
 def dictionary_json(
     d: dct.ScaledDictionary, x: dct.SparseVector, out: BinaryIO
 ) -> None:
-    """Write the JSON export into the binary file `out`, one matrix row at a
-    time."""
+    """Write the JSON export into the binary file `out`, a chunk of matrix
+    rows at a time."""
     payload = {"schema": "spark-forge dictionary v1", **_description(d, x), "matrix": 0}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    # JSON_CELLS follow indent=2; json escapes newlines in strings, so only
+    # JSON_CELLS follows indent=2; json escapes newlines in strings, so only
     # the top-level key can start a line '  "matrix": '
     head, _, tail = text.partition('\n  "matrix": 0,')
     out.write(f'{head}\n  "matrix": [\n'.encode())
-    last = len(d.matrix) - 1
-    for r in range(last + 1):
-        row = _cell_rows(d.matrix[r : r + 1], JSON_CELLS)
-        out.write(row[:-2] if r == last else row)  # the last row ends without ",\n"
+    rows, cols = d.matrix.shape
+    step = max(1, _JSON_CHUNK // max(cols, 1))
+    for r in range(0, rows, step):
+        chunk = _cell_rows(d.matrix[r : r + step], JSON_CELLS)
+        # the last row ends without ",\n"
+        out.write(chunk if r + step < rows else chunk[:-2])
     out.write(f"\n  ],{tail}".encode())
 
 

@@ -34,8 +34,10 @@ blocks, was checked, and a vector only once it passes `kernel_check`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -74,14 +76,22 @@ class ScaledDictionary:
 class SparseVector:
     """Signed support of a vector in the dictionary's coefficient space.  The
     one owner of the support rules: it raises ValueError, one message per
-    rule, if an index is outside [0, length), repeats or is out of ascending
-    order, or a value is not +-1, so no reader restates them."""
+    rule, if an index or value is not an integer (as `operator.index` takes
+    it; a bool is not), an index is outside [0, length), repeats or is out
+    of ascending order, or a value is not +-1, so no reader restates them."""
 
     length: int
     support: tuple[tuple[int, int], ...]  # (index, value), ascending, values +-1
     family: str
 
     def __post_init__(self):
+        try:
+            for v in itertools.chain.from_iterable(self.support):
+                if isinstance(v, bool):
+                    raise TypeError
+                operator.index(v)
+        except TypeError:
+            raise ValueError("support entries must be integers") from None
         ids = [i for i, _ in self.support]
         for i in ids:
             if not 0 <= i < self.length:

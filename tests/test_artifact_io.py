@@ -1,9 +1,11 @@
-"""Artifact I/O against per-entry oracles: the buffer-built CSV, JSON and SVG
-writers must give the same bytes as one formatted string per entry, and the
-byte-level dictionary reader must give the same matrix, or the same error,
-as the per-token parse it falls back to.  The JSON and SVG writers stream
-into a binary file; at thm1 q=16 they must give the golden bytes of the
-benchmark and stay within a small memory peak."""
+"""Artifact I/O against per-entry oracles: the CSV and JSON writers, which
+fill one row template per matrix row, and the SVG writer must give the same
+bytes as one formatted string per entry, on the six families and on random
+shapes, and the byte-level dictionary reader must give the same matrix, or
+the same error, as the per-token parse it falls back to.  The JSON and SVG
+writers stream into a binary file; at thm1 q=16 they must give the golden
+bytes of the benchmark and stay within a small memory peak, and the reader
+within a bound on its own."""
 
 import hashlib
 import io
@@ -211,6 +213,44 @@ def test_thm1_q16_writers_never_hold_the_whole_text(kind, limit_mb):
     assert peak < limit_mb * 10**6
 
 
+def _random_dictionary(rng, rows, cols):
+    """A rows x cols matrix over {-1, 0, 1}, with entry frequencies drawn per
+    matrix, so that some are nearly all -1 and some hold no -1."""
+    p = rng.dirichlet(np.ones(3))
+    matrix = rng.choice(np.array([-1, 0, 1], np.int8), size=(rows, cols), p=p)
+    return dictionaries.ScaledDictionary("thm1", 2, rows, 2, matrix, block_labels(2))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_shapes_match_oracles(seed):
+    rng = np.random.default_rng(seed)
+    d = _random_dictionary(rng, *map(int, rng.integers(1, 41, size=2)))
+    x = dictionaries.SparseVector(d.n_cols, ((0, 1),), "thm1")
+    text = cli.dictionary_csv(d)
+    assert text == dictionary_csv_oracle(d)
+    assert _text(cli.dictionary_json, d, x) == dictionary_json_oracle(d, x)
+    fast = cli._canonical_matrix(text.partition("\n")[0], text)
+    assert fast is not None and fast.dtype == np.int8
+    assert np.array_equal(fast, d.matrix)
+
+
+# rows, cols: past one JSON write of _JSON_CHUNK entries, ending inside a
+# chunk and on its boundary, and a row longer than a chunk
+@pytest.mark.parametrize(
+    "rows,cols",
+    [
+        (2 * (cli._JSON_CHUNK // 700) + 5, 700),
+        (2 * (cli._JSON_CHUNK // 700), 700),
+        (3, cli._JSON_CHUNK + 1),
+    ],
+    ids=["partial-last-chunk", "whole-last-chunk", "row-over-chunk"],
+)
+def test_json_chunks_match_oracle(rows, cols):
+    d = _random_dictionary(np.random.default_rng(cols + rows), rows, cols)
+    x = dictionaries.SparseVector(cols, (), "thm1")
+    assert _text(cli.dictionary_json, d, x) == dictionary_json_oracle(d, x)
+
+
 def _edge_vector(kind, n):
     if kind == "none":
         return None
@@ -271,6 +311,20 @@ def test_written_files_take_the_byte_path(family, q):
     assert np.array_equal(read_dictionary("p", text).matrix, expected)
 
 
+def test_thm1_q16_reader_peak():
+    # the reader once wrote the matrix back as a second copy of the text
+    # for its round trip, and peaked at 9.7 MiB
+    text = cli.dictionary_csv(_built("thm1", 16).dictionary)
+    tracemalloc.start()
+    try:
+        d = read_dictionary("p", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.matrix.shape == (256, 4352)
+    assert peak < 9 * 2**20
+
+
 def _q4_text():
     return cli.dictionary_csv(_built("thm1", 4).dictionary)
 
@@ -290,6 +344,7 @@ def _variants():
     header, _, body = text.partition("\n")
     rows = body.split("\n")
     one = next(c for c, v in enumerate(rows[2].split(",")) if v == "1")
+    minus = next(c for c, v in enumerate(rows[2].split(",")) if v == "-1")
     return {
         "crlf": text.replace("\n", "\r\n"),
         "plus-one": _replace_entry(text, 2, one, "+1"),
@@ -308,6 +363,12 @@ def _variants():
         "non-ascii-digit": _replace_entry(text, 2, one, "１"),
         "non-ascii-header": text.replace("family=thm1", "family=thé", 1),
         "extra-row": text + rows[0] + "\n",
+        # the writers' slot byte for -1, and other near misses of "-1"
+        "stand-in": _replace_entry(text, 2, minus, cli._MINUS.decode()),
+        "nul": _replace_entry(text, 2, minus, "\0"),
+        "minus-minus-one": _replace_entry(text, 2, minus, "--1"),
+        "minus-zero": _replace_entry(text, 2, minus, "-0"),
+        "bare-minus": _replace_entry(text, 2, minus, "-"),
     }
 
 

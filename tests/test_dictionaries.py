@@ -142,3 +142,21 @@ def test_apply_guards():
 def test_apply_zero_vector():
     d = build_dictionary("thm1", 2)
     assert not apply(d, SparseVector(12, (), "thm1")).any()
+
+
+@pytest.mark.parametrize(
+    "support",
+    [((0.5, 1),), ((0, 1.0),), ((0, True),)],
+    ids=["float-index", "float-value", "bool-value"],
+)
+def test_sparse_vector_refuses_entries_that_are_not_integers(support):
+    # each was made before, then failed later: numpy's IndexError from
+    # kernel_check, UFuncTypeError from apply, or True taken as the value 1
+    with pytest.raises(ValueError, match="^support entries must be integers$"):
+        SparseVector(12, support, "thm1")
+
+
+def test_sparse_vector_takes_numpy_integers():
+    d = build_dictionary("thm1", 2)
+    x = SparseVector(12, ((np.int64(3), np.int8(-1)),), "thm1")
+    assert apply(d, x).tolist() == (-d.matrix[:, 3]).tolist()
