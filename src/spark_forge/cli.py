@@ -21,9 +21,12 @@ neither text is ever held whole: at thm1 q=16 (72 MB of SVG, 10 MB of JSON)
 the writers peak at about 3.4 MiB and 1.7 MiB under tracemalloc.  Every
 artifact is written to a temporary file beside it and renamed onto its
 path only once closed, so a failed write leaves an earlier artifact as it
-was.  A dictionary CSV exactly as written is read from bytes, and accepted
-only if the template rows of the parsed matrix match it; other text gets
-the tolerant per-token parse, with the same result.
+was.  A dictionary CSV exactly as written is read from its bytes, without
+rewriting them: a few passes check its alphabet and token grammar, and
+only the line ends, "-" and "1" bytes are located; other text gets the
+tolerant per-token parse, with the same result.  `construct` and `verify`
+time their stages (build, read, structural checks, Gram pass, write) into
+the report's "timing" object.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -31,6 +34,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -66,6 +70,21 @@ class InputError(Exception):
     """Bad file, path, or parameter; maps to exit code 2."""
 
 
+# Stages of construct and verify, timed in their reports' "timing" object.
+STAGES = ("build", "read", "structural_checks", "gram", "write")
+
+
+@contextlib.contextmanager
+def _stage(stages: dict | None, name: str):
+    """Add the seconds the block takes to stages[name], if stages is given."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        if stages is not None:
+            stages[name] += time.perf_counter() - start
+
+
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
@@ -78,8 +97,6 @@ JSON_CELLS = (b"    [\n", b"      ?,\n", b"\n    ],\n")
 # Entry v fills its slot with the byte ord("0") + v, so -1 stands in as "/",
 # which no template holds; one replace expands it.
 _MINUS = b"/"
-_SLOT_VALUES = np.zeros(256, np.int8)  # entry of each slot byte, 0 if none
-_SLOT_VALUES[list(_MINUS + b"01")] = (-1, 0, 1)
 _JSON_CHUNK = 1 << 16  # entries per dictionary_json write
 
 
@@ -168,25 +185,41 @@ def _canonical_matrix(header: str, text: str) -> np.ndarray | None:
     """The matrix of `text` parsed as bytes, or None unless its first line
     `header` is the one the per-token parse takes as the header and
     `dictionary_csv` writes the parsed matrix as exactly the lines after it;
-    so both parses give one matrix on any file they share."""
+    so both parses give one matrix on any file they share.  Only the "\\n",
+    "-" and "1" bytes are located; every other test is a pass over the text."""
     # splitlines also ends a line at \r, \x0b, \x0c, \x1c-\x1e, \x85, \u2028, ...
     if not header.strip() or header.splitlines() != [header] or not text.isascii():
         return None
-    if _MINUS.decode() in text:
+    body = np.frombuffer(text.encode(), np.uint8)[len(header) + 1 :]
+    # "\n" and "," sort below "-", "0" and "1"
+    if not body.size or body[-1] != ord("\n") or body[0] <= ord(","):
         return None
-    # the header holds no \n, so the first one still ends it after the replace
-    raw = text.encode().replace(b"-1", _MINUS)
-    start = raw.find(b"\n") + 1
-    rows = raw.count(b"\n", start)
-    if not rows or (len(raw) - start) % (2 * rows):
+    newlines, minus, ones = (np.flatnonzero(body == ord(c)) for c in "\n-1")
+    commas, zeros = (np.count_nonzero(body == ord(c)) for c in ",0")
+    if len(newlines) + commas + len(minus) + zeros + len(ones) != body.size:
+        return None  # a byte outside "\n,-01"
+    # a byte is a digit exactly when the next one is a separator, and each
+    # "-" is followed by "1": so each token is "0", "1" or "-1" and ends at
+    # one separator, and the first byte is no separator
+    digit_next = body[:-1] >= ord("0")
+    if not np.equal(digit_next, body[1:] <= ord(","), out=digit_next).all():
         return None
-    # each row is "one slot byte, one separator" per entry
-    grid = np.frombuffer(raw, np.uint8, offset=start).reshape(rows, -1)
-    matrix = _SLOT_VALUES[grid[:, ::2]]
-    # the text holds no _MINUS, so the replace is undone exactly, and this is
-    # the check that dictionary_csv writes the matrix as the lines after the
-    # header, without a second copy of the text
-    return matrix if np.array_equal(_row_grid(matrix, CSV_CELLS), grid) else None
+    if (body[minus + 1] != ord("1")).any():
+        return None
+    rows = len(newlines)
+    cols, ragged = divmod(rows + commas, rows)  # one separator per token
+
+    def token(at: np.ndarray) -> np.ndarray:
+        # token k's "-", digit and separator sit at 2k, 2k and 2k+1 plus the
+        # count of "-" bytes before them
+        return (at - np.searchsorted(minus, at)) // 2
+
+    if ragged or not np.array_equal(token(newlines), np.arange(1, rows + 1) * cols - 1):
+        return None
+    matrix = np.zeros(rows * cols, np.int8)
+    matrix[token(ones)] = 1
+    matrix[token(minus)] = -1
+    return matrix.reshape(rows, cols)
 
 
 def read_dictionary(path: str | Path, text: str | None = None) -> dct.ScaledDictionary:
@@ -305,42 +338,47 @@ def collect_reports(
     dictionary: dct.ScaledDictionary,
     vector: dct.SparseVector | None,
     built: dct.Construction,
+    stages: dict | None = None,
 ) -> tuple[list[CheckReport], dct.SparkCertificate | None]:
     """The one certification step of `construct` and `verify`: every named
     structural verifier (the machinery checks on `built`, the construction
     of the dictionary's family and q, and the checks of the given artifacts)
     and the spark certificate, which is None unless the vector passes
-    `kernel_check` and every block is orthonormal, as the bounds assume."""
+    `kernel_check` and every block is orthonormal, as the bounds assume.
+    The seconds of the Gram pass and of everything else go to `stages`."""
     field = built.field
-    reports = [
-        verify_mols([latin_square(field, r) for r in range(field.q)]),
-        verify_collision_table(collision_table(field)),
-        verify_net(built.net),
-        verify_row_antisymmetry(built.signs),
-    ]
-    if field.mode == "extension":
-        reports.append(verify_coset_antisymmetry(field, built.signs))
+    with _stage(stages, "structural_checks"):
+        reports = [
+            verify_mols([latin_square(field, r) for r in range(field.q)]),
+            verify_collision_table(collision_table(field)),
+            verify_net(built.net),
+            verify_row_antisymmetry(built.signs),
+        ]
+        if field.mode == "extension":
+            reports.append(verify_coset_antisymmetry(field, built.signs))
 
-    support_rep = CheckReport("column-support")
-    counts = (dictionary.matrix != 0).sum(axis=0)
-    bad = np.flatnonzero(counts != dictionary.scale_sq)
-    support_rep.count(dictionary.n_cols)
-    if bad.size:
-        support_rep.fail(
-            f"column {int(bad[0])} has {int(counts[bad[0]])} nonzeros, "
-            f"want {dictionary.scale_sq}"
-        )
-    reports.append(support_rep)
+        support_rep = CheckReport("column-support")
+        counts = (dictionary.matrix != 0).sum(axis=0)
+        bad = np.flatnonzero(counts != dictionary.scale_sq)
+        support_rep.count(dictionary.n_cols)
+        if bad.size:
+            support_rep.fail(
+                f"column {int(bad[0])} has {int(counts[bad[0]])} nonzeros, "
+                f"want {dictionary.scale_sq}"
+            )
+        reports.append(support_rep)
 
-    gram = dct.gram_check(dictionary)
+    with _stage(stages, "gram"):
+        gram = dct.gram_check(dictionary)
     reports.append(gram.report)
 
     certificate = None
     if vector is not None:
-        kernel = dct.kernel_check(dictionary, vector)
-        reports.append(kernel)
-        if kernel.passed and gram.orthonormal:
-            certificate = dct.spark_certify(gram, vector)
+        with _stage(stages, "structural_checks"):
+            kernel = dct.kernel_check(dictionary, vector)
+            reports.append(kernel)
+            if kernel.passed and gram.orthonormal:
+                certificate = dct.spark_certify(gram, vector)
     return reports, certificate
 
 
@@ -360,8 +398,14 @@ def run_report(
     certificate: dct.SparkCertificate | None,
     checks: list[CheckReport],
     elapsed: float,
+    stages: dict | None = None,
 ) -> dict:
+    """The run report; `stages` adds the seconds of each named stage to its
+    "timing" object next to the elapsed seconds."""
     brute = certificate.brute_force if certificate else None
+    timing = {"elapsed_seconds": round(elapsed, 6)}
+    if stages is not None:
+        timing["stage_seconds"] = {k: round(v, 6) for k, v in stages.items()}
     return {
         "schema": "spark-forge run report v1",
         "command": command,
@@ -400,7 +444,7 @@ def run_report(
             }
             for rep in checks
         ],
-        "timing": {"elapsed_seconds": round(elapsed, 6)},
+        "timing": timing,
     }
 
 
@@ -477,29 +521,32 @@ def _write(path: Path, content) -> None:
     print(f"wrote {path}")
 
 
-def _load_inputs(args) -> tuple:
+def _load_inputs(args, stages: dict | None = None) -> tuple:
     """Resolve (dictionary, vector, construction) from positional paths or
-    --family/--q; the construction is None unless the flags built one."""
+    --family/--q; the construction is None unless the flags built one.  The
+    seconds of reading and of building go to `stages`."""
     paths = [Path(p) for p in getattr(args, "paths", []) or []]
     dictionary, built = None, None
     vector, vector_q = None, None
     for p in paths:
-        text = _read_text(p)
-        head = text.lstrip()
-        if head.startswith(DICT_MAGIC):
-            if dictionary is not None:
-                raise InputError(f"{p}: more than one dictionary file given")
-            dictionary = read_dictionary(p, text)
-        elif head.startswith(VECTOR_MAGIC):
-            if vector is not None:
-                raise InputError(f"{p}: more than one vector file given")
-            vector, vector_q = read_vector(p, text)
-        else:
-            raise InputError(f"{p}: not a spark-forge dictionary or vector file")
+        with _stage(stages, "read"):
+            text = _read_text(p)
+            head = text.lstrip()
+            if head.startswith(DICT_MAGIC):
+                if dictionary is not None:
+                    raise InputError(f"{p}: more than one dictionary file given")
+                dictionary = read_dictionary(p, text)
+            elif head.startswith(VECTOR_MAGIC):
+                if vector is not None:
+                    raise InputError(f"{p}: more than one vector file given")
+                vector, vector_q = read_vector(p, text)
+            else:
+                raise InputError(f"{p}: not a spark-forge dictionary or vector file")
     if dictionary is None:
         if args.family is None or args.q is None:
             raise InputError("provide input paths or both --family and --q")
-        built = dct.construct(args.family, args.q)
+        with _stage(stages, "build"):
+            built = dct.construct(args.family, args.q)
         dictionary = built.dictionary
         if vector is None:
             vector, vector_q = built.vector, dictionary.q
@@ -525,15 +572,18 @@ def _load_inputs(args) -> tuple:
 
 def _cmd_construct(args) -> int:
     started = time.perf_counter()
-    built = dct.construct(args.family, args.q)
+    stages = dict.fromkeys(STAGES, 0.0)
+    with _stage(stages, "build"):
+        built = dct.construct(args.family, args.q)
     dictionary, vector = built.dictionary, built.vector
     paths = _artifact_paths(args.out_dir, args.family, args.q)
-    _write(paths["dictionary"], dictionary_csv(dictionary))
-    _write(paths["vector"], vector_csv(vector, dictionary.q))
-    checks, certificate = collect_reports(dictionary, vector, built)
+    with _stage(stages, "write"):
+        _write(paths["dictionary"], dictionary_csv(dictionary))
+        _write(paths["vector"], vector_csv(vector, dictionary.q))
+    checks, certificate = collect_reports(dictionary, vector, built, stages)
     report = run_report(
         "construct", dictionary, vector, certificate, checks,
-        time.perf_counter() - started,
+        time.perf_counter() - started, stages,
     )
     _write(paths["report"], report_json(report))
     return 0 if all(rep.passed for rep in checks) else 1
@@ -541,15 +591,18 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    dictionary, vector, built = _load_inputs(args)
+    stages = dict.fromkeys(STAGES, 0.0)
+    dictionary, vector, built = _load_inputs(args, stages)
     if built is None:
-        built = dct.construct(dictionary.family, dictionary.q)
-    checks, certificate = collect_reports(dictionary, vector, built)
+        with _stage(stages, "build"):
+            built = dct.construct(dictionary.family, dictionary.q)
+    checks, certificate = collect_reports(dictionary, vector, built, stages)
     recon = CheckReport("matches-construction")
-    recon.require(
-        np.array_equal(dictionary.matrix, built.dictionary.matrix),
-        "matrix differs from the deterministic construction",
-    )
+    with _stage(stages, "structural_checks"):
+        recon.require(
+            np.array_equal(dictionary.matrix, built.dictionary.matrix),
+            "matrix differs from the deterministic construction",
+        )
     checks.append(recon)
     for rep in checks:
         print(rep.summary())
@@ -557,7 +610,7 @@ def _cmd_verify(args) -> int:
         print(f"coherence = {certificate.coherence}")
     report = run_report(
         "verify", dictionary, vector, certificate, checks,
-        time.perf_counter() - started,
+        time.perf_counter() - started, stages,
     )
     if args.out_dir is not None:
         path = _artifact_paths(args.out_dir, dictionary.family, dictionary.q)["report"]

@@ -42,39 +42,59 @@ def latin_square(ctx: FieldContext, r: int) -> np.ndarray:
 def verify_mols(squares: Sequence[np.ndarray]) -> CheckReport:
     """Check row injectivity of each square, the unique-meeting-row property
     of every pair, and pairwise orthogonality of the nonzero-label squares.
-    The label of squares[r] is r."""
+    The label of squares[r] is r.
+
+    All squares are checked at once: one sort each for the rows and the
+    columns, one one-hot product for the meeting counts of every pair of
+    columns of every pair of squares, and one sort of the codes q*sa + sb of
+    every pair of nonzero labels.  The product holds (number of squares *
+    q)^2 counts, each at most q, so float32 is exact."""
     rep = CheckReport("latin-squares")
     if not squares:
         return rep
     q = len(squares[0])
-    identity = np.arange(q, dtype=np.int32)
+    if any(np.shape(sq) != (q, q) for sq in squares):
+        raise ValueError("squares have mixed orders")
+    s = np.stack(squares)
+    n = len(s)
+    identity = np.arange(q)
+    rows_ok = (np.sort(s, axis=2) == identity).all(axis=(1, 2))
+    cols_ok = (np.sort(s, axis=1) == identity[:, None]).all(axis=(1, 2))
 
-    for r, sq in enumerate(squares):
-        if sq.shape != (q, q):
-            raise ValueError("squares have mixed orders")
-        ok = bool((np.sort(sq, axis=1) == identity[None, :]).all())
-        rep.require(ok, f"square r={r}: some row is not injective")
-        if r != 0:
-            ok_cols = bool((np.sort(sq, axis=0) == identity[:, None]).all())
-            rep.require(ok_cols, f"square r={r}: some column is not a permutation")
+    # x[a*q + j, i*k + v] is 1 when entry (i, j) of square a holds the v-th
+    # of the k distinct values, so meets[a, j1, b, j2] counts the rows where
+    # column j1 of square a and column j2 of square b hold one value
+    codes = np.unique(s, return_inverse=True)[1].reshape(n, q, q, 1)
+    onehot = codes.transpose(0, 2, 1, 3) == np.arange(codes.max() + 1)
+    x = onehot.reshape(n * q, -1).astype(np.float32)
+    meets = (x @ x.T).reshape(n, q, n, q)
+    meet_bad = (meets != 1).any(axis=(1, 3))
 
-    for a in range(len(squares)):
-        for b in range(a + 1, len(squares)):
-            sa, sb = squares[a], squares[b]
-            # exactly one meeting row for every column pair
-            meets = (sa[:, :, None] == sb[:, None, :]).sum(axis=0)
-            ok = bool((meets == 1).all())
-            if not ok:
-                j1, j2 = np.argwhere(meets != 1)[0]
-                rep.fail(
-                    f"pair (r={a}, r={b}): columns ({j1}, {j2}) meet "
-                    f"{int(meets[j1, j2])} times"
-                )
-            rep.count()
-            if a != 0:
-                pairs = sa.astype(np.int64) * q + sb
-                ok = len(np.unique(pairs)) == q * q
-                rep.require(ok, f"squares r={a}, r={b} are not orthogonal")
+    # orthogonality of squares a < b, both with nonzero labels
+    ia, ib = np.triu_indices(n, 1)
+    ia, ib = ia[ia > 0], ib[ia > 0]
+    wide = s.reshape(n, q * q).astype(np.int64)
+    pairs = np.sort(wide[ia] * q + wide[ib], axis=1)
+    distinct = 1 + (pairs[:, 1:] != pairs[:, :-1]).sum(axis=1)
+    orth_bad = np.zeros((n, n), dtype=bool)
+    orth_bad[ia, ib] = distinct != q * q
+
+    # one check per row and column test, per pair, and per orthogonal pair
+    rep.count(2 * n - 1 + n * (n - 1) // 2 + (n - 1) * (n - 2) // 2)
+    for r in range(n):
+        if not rows_ok[r]:
+            rep.fail(f"square r={r}: some row is not injective")
+        if r != 0 and not cols_ok[r]:
+            rep.fail(f"square r={r}: some column is not a permutation")
+    for a, b in zip(*np.nonzero(np.triu(meet_bad | orth_bad, 1))):
+        if meet_bad[a, b]:
+            j1, j2 = np.argwhere(meets[a, :, b] != 1)[0]
+            rep.fail(
+                f"pair (r={a}, r={b}): columns ({j1}, {j2}) meet "
+                f"{int(meets[a, j1, b, j2])} times"
+            )
+        if orth_bad[a, b]:
+            rep.fail(f"squares r={a}, r={b} are not orthogonal")
     return rep
 
 
@@ -116,13 +136,11 @@ def build_net(ctx: FieldContext) -> np.ndarray:
     the position given by Latin square b; the infinity family fills block j."""
     q = ctx.q
     vectors = np.zeros((q + 1, q, q * q), dtype=np.uint8)
-    blocks = np.arange(q, dtype=np.int32) * q
+    index = np.arange(q)
     for b in range(q):
-        lb = latin_square(ctx, b)
-        for j in range(q):
-            vectors[b, j, blocks + lb[:, j]] = 1
-    for j in range(q):
-        vectors[q, j, j * q : (j + 1) * q] = 1
+        # vector (b, j) has its 1 in block i at position lb[i, j]
+        vectors[b, index, index[:, None] * q + latin_square(ctx, b)] = 1
+    vectors[q].reshape(q, q, q)[index, index] = 1  # vector j fills block j
     return vectors
 
 

@@ -27,7 +27,10 @@ the tasks.
 yields the orthonormality and unbiasedness checks together with the
 coherence; the strips are float32 BLAS products, exact because every entry
 and partial sum is an integer below 2^24 in magnitude (checked at run
-time, with an int64 fallback).  A spark certificate takes that pass, so
+time, with an int64 fallback).  Each strip is decided by one exact test,
+its self block against scale_sq * I and its cross part by its maximum,
+minimum and a zero test; only a failing strip is scanned for the entries
+its messages name.  A spark certificate takes that pass, so
 the coherence bounds are applied only where their hypothesis, orthonormal
 blocks, was checked, and a vector only once it passes `kernel_check`.
 """
@@ -78,7 +81,8 @@ class SparseVector:
     one owner of the support rules: it raises ValueError, one message per
     rule, if an index or value is not an integer (as `operator.index` takes
     it; a bool is not), an index is outside [0, length), repeats or is out
-    of ascending order, or a value is not +-1, so no reader restates them."""
+    of ascending order, or a value is not +-1, so no reader restates them.
+    The support is stored as Python ints."""
 
     length: int
     support: tuple[tuple[int, int], ...]  # (index, value), ascending, values +-1
@@ -102,6 +106,9 @@ class SparseVector:
             raise ValueError("support indices are not ascending")
         if any(v not in (-1, 1) for _, v in self.support):
             raise ValueError("support values must be +1 or -1")
+        # numpy integers pass operator.index, but json cannot write them
+        support = tuple((int(i), int(v)) for i, v in self.support)
+        object.__setattr__(self, "support", support)
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.length, dtype=np.int64)
@@ -222,13 +229,28 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
     block Gram strips: within a block the scaled Gram matrix is scale_sq *
     I, across two blocks every entry is +1 or -1, and the coherence is the
     largest |<column_i, column_j>| / scale_sq over distinct columns.  Raises
-    ValueError when the coherence is zero."""
+    ValueError when the coherence is zero.
+
+    Each strip is decided by one exact test: its self block equals scale_sq
+    * I, and its cross part has maximum at most 1, minimum at least -1 and
+    no zero.  The entries are exact integers, so that range-and-zero test is
+    "every cross entry is +1 or -1".  Only a strip that fails it is scanned
+    again, to name the first failing entry of each block and of each pair."""
     d, labels = dictionary.dimension, dictionary.block_labels
     rep = CheckReport("mub-family")
     want_self = dictionary.scale_sq * np.eye(d, dtype=np.int64)
     orthonormal = True
     largest = 0
     for i, strip in enumerate(gram_strips(dictionary.matrix, d)):
+        later = strip.shape[1] // d - 1
+        rep.count(d * d * (1 + later))
+        cross = strip[:, d:]
+        if np.array_equal(strip[:, :d], want_self):
+            # initial=0: the last strip has no cross part
+            hi, lo = int(cross.max(initial=0)), int(cross.min(initial=0))
+            if hi <= 1 and lo >= -1 and not (cross == 0).any():
+                largest = max(largest, hi, -lo)
+                continue
         bad = strip[:, :d] != want_self
         if bad.any():
             orthonormal = False
@@ -237,10 +259,8 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
                 f"basis {labels[i]}: columns ({r}, {c}) have product "
                 f"{int(strip[r, c])}"
             )
-        rep.count(d * d)
         # cross[:, t] is the product of block i with block i + 1 + t
-        later = strip.shape[1] // d - 1
-        cross = strip[:, d:].reshape(d, later, d)
+        cross = cross.reshape(d, later, d)
         bad = (cross != 1) & (cross != -1)
         for t in np.flatnonzero(bad.any(axis=(0, 2))):
             r, c = np.argwhere(bad[:, t])[0]
@@ -248,7 +268,6 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
                 f"bases ({labels[i]}, {labels[i + 1 + t]}): columns ({r}, {c}) "
                 f"have product {int(cross[r, t, c])}, want +-1"
             )
-        rep.count(d * d * later)
         np.fill_diagonal(strip[:, :d], 0)
         largest = max(largest, int(np.abs(strip, out=strip).max()))
     if largest == 0:

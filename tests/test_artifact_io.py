@@ -397,3 +397,48 @@ def test_reader_matches_per_token_oracle(name):
 def test_reader_variants_cover_both_outcomes():
     outcomes = {_outcome(read_dictionary_oracle, t)[0] for t in _variants().values()}
     assert outcomes == {"ok", "error"}
+
+
+# Pieces near the CSV alphabet, for byte edits of small dictionary texts
+EDITS = ["\n", ",", "-", "0", "1", "-1", "--", "1,", "0\n", "/", "2", " ", "\r"]
+
+
+def _written_matrix(header, text):
+    """The matrix that dictionary_csv writes as the lines of `text` after
+    `header`, or None if there is none: the per-line parse, kept only if
+    it renders back to the text."""
+    body = text[len(header) + 1 :]
+    try:
+        lines = body.split("\n")[:-1]
+        matrix = np.array([[int(v) for v in ln.split(",")] for ln in lines], np.int8)
+    except (ValueError, OverflowError):
+        return None
+    if matrix.ndim != 2 or not matrix.size or not set(matrix.flat) <= {-1, 0, 1}:
+        return None
+    return matrix if cli._cell_rows(matrix, cli.CSV_CELLS).decode() == body else None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_byte_path_takes_exactly_the_written_texts(seed):
+    """Random edits of small dictionary texts: the byte path returns a
+    matrix exactly when dictionary_csv writes that matrix as the text, and
+    the reader ends as the per-token parse does."""
+    rng = np.random.default_rng(seed)
+    taken = 0
+    for _ in range(300):
+        d = _random_dictionary(rng, *map(int, rng.integers(1, 6, size=2)))
+        text = cli.dictionary_csv(d)
+        header = text.partition("\n")[0]
+        for _ in range(int(rng.integers(3))):
+            at = int(rng.integers(len(header) + 1, len(text) + 1))
+            piece = EDITS[rng.integers(len(EDITS))] * int(rng.integers(2))
+            text = text[:at] + piece + text[at + int(rng.integers(2)) :]
+        fast = cli._canonical_matrix(header, text)
+        want = _written_matrix(header, text)
+        assert (fast is None) == (want is None)
+        if fast is not None:
+            taken += 1
+            assert fast.dtype == np.int8 and np.array_equal(fast, want)
+        assert _outcome(read_dictionary, text) == _outcome(read_dictionary_oracle, text)
+    # both outcomes, many times over
+    assert 50 < taken < 250

@@ -725,3 +725,48 @@ def test_each_command_builds_its_family_once(
     assert calls == {"construct": 1, "build_net": 1, "permuted_hadamard": 1,
                      "gram_strips": dictionary_passes,
                      "net gram_strips": net_passes}
+
+
+def test_numpy_integer_support_exports_like_plain_ints(tmp_path):
+    """A kernel vector given numpy integers is stored as Python ints, so the
+    JSON export and the run report come out byte for byte as for plain ints."""
+    built = dictionaries.construct("thm1", 2)
+    plain = built.vector
+    wide = dictionaries.SparseVector(
+        plain.length,
+        tuple((np.int64(i), np.int64(v)) for i, v in plain.support),
+        plain.family,
+    )
+    assert wide == plain
+    assert all(type(e) is int for pair in wide.support for e in pair)
+    d = built.dictionary
+    outputs = []
+    for x in (plain, wide):
+        with open(tmp_path / "d.json", "wb") as f:
+            cli.dictionary_json(d, x, f)
+        checks, certificate = cli.collect_reports(d, x, built)
+        report = cli.run_report("construct", d, x, certificate, checks, 0.0)
+        outputs.append(((tmp_path / "d.json").read_bytes(), cli.report_json(report)))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_reports_time_each_stage_and_print_nothing_of_it(tmp_path, capsys, command):
+    out = ["--out-dir", str(tmp_path)]
+    main(["construct", "--family", "thm2", "--q", "2"] + out)
+    inputs = [str(tmp_path / f"{kind}_thm2_q2.csv") for kind in ("dictionary", "vector")]
+    capsys.readouterr()
+    argv = ["construct", "--family", "thm2", "--q", "2"] if command == "construct" else ["verify"] + inputs
+    assert main(argv + out) == 0
+    captured = capsys.readouterr()
+    assert "second" not in captured.out + captured.err
+    timing = json.loads((tmp_path / "report_thm2_q2.json").read_text())["timing"]
+    stages = timing["stage_seconds"]
+    assert list(stages) == ["build", "gram", "read", "structural_checks", "write"]
+    assert all(s >= 0 for s in stages.values())
+    assert sum(stages.values()) <= timing["elapsed_seconds"] + 1e-5
+    # construct reads no file; verify writes only its report, after the timing
+    assert (stages["read"] > 0, stages["write"] > 0) == (
+        (False, True) if command == "construct" else (True, False)
+    )
+    assert stages["gram"] > 0 and stages["structural_checks"] > 0 and stages["build"] > 0

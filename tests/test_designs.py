@@ -250,3 +250,114 @@ def test_verify_net_matches_the_int64_oracle():
             want.failures,
             want.summary(),
         )
+
+
+# verify_mols checks all pairs of squares in a few array operations; this
+# oracle checks them one pair at a time, as the check once did.
+
+
+def _pairwise_verify_mols(squares):
+    rep = CheckReport("latin-squares")
+    q = len(squares[0])
+    identity = np.arange(q, dtype=np.int32)
+    for r, sq in enumerate(squares):
+        ok = bool((np.sort(sq, axis=1) == identity[None, :]).all())
+        rep.require(ok, f"square r={r}: some row is not injective")
+        if r != 0:
+            ok_cols = bool((np.sort(sq, axis=0) == identity[:, None]).all())
+            rep.require(ok_cols, f"square r={r}: some column is not a permutation")
+    for a in range(len(squares)):
+        for b in range(a + 1, len(squares)):
+            sa, sb = squares[a], squares[b]
+            meets = (sa[:, :, None] == sb[:, None, :]).sum(axis=0)
+            if not (meets == 1).all():
+                j1, j2 = np.argwhere(meets != 1)[0]
+                rep.fail(
+                    f"pair (r={a}, r={b}): columns ({j1}, {j2}) meet "
+                    f"{int(meets[j1, j2])} times"
+                )
+            rep.count()
+            if a != 0:
+                pairs = sa.astype(np.int64) * q + sb
+                ok = len(np.unique(pairs)) == q * q
+                rep.require(ok, f"squares r={a}, r={b} are not orthogonal")
+    return rep
+
+
+def _tampered_square_sets():
+    rng = np.random.default_rng(20)
+    for m in (1, 2, 3, 4):
+        ctx = FieldContext(m)
+        q = ctx.q
+        squares = [latin_square(ctx, r) for r in range(q)]
+        yield f"gf{q}", squares
+        swapped = [s.copy() for s in squares]  # two entries of a row swapped
+        r, i = int(rng.integers(q)), int(rng.integers(q))
+        swapped[r][i, [0, q - 1]] = swapped[r][i, [q - 1, 0]]
+        yield f"gf{q}-row-swap", swapped
+        broken = [s.copy() for s in squares]  # a column broken
+        r, j = int(rng.integers(1, q)), int(rng.integers(q))
+        broken[r][:, j] = broken[r][0, j]
+        yield f"gf{q}-column-broken", broken
+        repeated = [s.copy() for s in squares]  # a square repeated
+        repeated[-1] = repeated[1].copy()
+        yield f"gf{q}-repeated", repeated
+        scrambled = [s.copy() for s in squares]  # random entries, some outside GF(q)
+        for _ in range(3):
+            r, i, j = (int(v) for v in rng.integers(q, size=3))
+            scrambled[r][i, j] = rng.integers(-1, q + 2)
+        yield f"gf{q}-scrambled", scrambled
+    ctx = FieldContext(4)
+    yield "gf16-three", [latin_square(ctx, r) for r in (0, 5, 9)]
+    yield "gf16-single", [latin_square(ctx, 3)]
+    # every pair fails: more messages than the report keeps
+    yield "gf16-constant", [np.zeros((16, 16), dtype=np.int32)] * 8
+
+
+TAMPERED_SQUARE_SETS = dict(_tampered_square_sets())
+
+
+@pytest.mark.parametrize("name", list(TAMPERED_SQUARE_SETS))
+def test_verify_mols_matches_the_pairwise_oracle(name):
+    squares = TAMPERED_SQUARE_SETS[name]
+    got, want = verify_mols(squares), _pairwise_verify_mols(squares)
+    assert (got.checks, got.failures, got.summary()) == (
+        want.checks,
+        want.failures,
+        want.summary(),
+    )
+
+
+def test_verify_mols_oracle_cases_fail_in_every_way():
+    failures = [f for s in TAMPERED_SQUARE_SETS.values() for f in verify_mols(s).failures]
+    for phrase in ("row is not injective", "column is not a permutation",
+                   "times", "are not orthogonal"):
+        assert any(phrase in f for f in failures), phrase
+
+
+def test_verify_mols_refuses_mixed_orders(gf4):
+    with pytest.raises(ValueError, match="mixed orders"):
+        verify_mols([latin_square(gf4, 1), latin_square(gf4, 2)[:3]])
+
+
+def _looped_build_net(ctx):
+    """The net placed one incidence vector at a time."""
+    q = ctx.q
+    vectors = np.zeros((q + 1, q, q * q), dtype=np.uint8)
+    blocks = np.arange(q, dtype=np.int32) * q
+    for b in range(q):
+        lb = latin_square(ctx, b)
+        for j in range(q):
+            vectors[b, j, blocks + lb[:, j]] = 1
+    for j in range(q):
+        vectors[q, j, j * q : (j + 1) * q] = 1
+    return vectors
+
+
+@pytest.mark.parametrize("ctx", [FieldContext(m) for m in (1, 2, 3, 4)]
+                         + [FieldContext(m).extension() for m in (1, 2)],
+                         ids=["gf2", "gf4", "gf8", "gf16", "gf4-ext", "gf16-ext"])
+def test_build_net_matches_the_looped_oracle(ctx):
+    net = build_net(ctx)
+    assert net.dtype == np.uint8
+    assert np.array_equal(net, _looped_build_net(ctx))

@@ -14,6 +14,7 @@ from spark_forge import (
     build_basis,
     build_dictionary,
     build_net,
+    construct,
     exact_rank,
     gram_check,
     permuted_hadamard,
@@ -21,6 +22,7 @@ from spark_forge import (
     verify_net,
 )
 from spark_forge.mub import gram_strips
+from spark_forge.report import CheckReport
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +283,181 @@ def test_every_exact_kernel_refuses_every_bad_input(kernel, matrix):
     such as gram_check's zero coherence, stands in for it."""
     with pytest.raises(ValueError, match="int16|int64"):
         kernel(matrix)
+
+
+# gram_check decides each strip with one range-and-zero test and scans only
+# a failing strip for its messages; this oracle scans every strip for the
+# first bad entry of each block and each pair, as the check once did.
+
+
+def _scanning_gram_check(dictionary):
+    d, labels = dictionary.dimension, dictionary.block_labels
+    rep = CheckReport("mub-family")
+    want_self = dictionary.scale_sq * np.eye(d, dtype=np.int64)
+    orthonormal = True
+    largest = 0
+    for i, strip in enumerate(_int64_strips(dictionary.matrix, d)):
+        bad = strip[:, :d] != want_self
+        if bad.any():
+            orthonormal = False
+            r, c = np.argwhere(bad)[0]
+            rep.fail(
+                f"basis {labels[i]}: columns ({r}, {c}) have product "
+                f"{int(strip[r, c])}"
+            )
+        rep.count(d * d)
+        later = strip.shape[1] // d - 1
+        cross = strip[:, d:].reshape(d, later, d)
+        bad = (cross != 1) & (cross != -1)
+        for t in np.flatnonzero(bad.any(axis=(0, 2))):
+            r, c = np.argwhere(bad[:, t])[0]
+            rep.fail(
+                f"bases ({labels[i]}, {labels[i + 1 + t]}): columns ({r}, {c}) "
+                f"have product {int(cross[r, t, c])}, want +-1"
+            )
+        rep.count(d * d * later)
+        np.fill_diagonal(strip[:, :d], 0)
+        largest = max(largest, int(np.abs(strip).max()))
+    if largest == 0:
+        raise ValueError("coherence is zero: no coherence bound applies")
+    return rep, orthonormal, Fraction(largest, dictionary.scale_sq)
+
+
+def _gram_outcome(check, dictionary):
+    try:
+        result = check(dictionary)
+    except ValueError as exc:
+        return ("error", str(exc))
+    if isinstance(result, tuple):
+        rep, orthonormal, coherence = result
+    else:
+        rep, orthonormal, coherence = result.report, result.orthonormal, result.coherence
+    return (rep.checks, rep.failures, rep.summary(), orthonormal, coherence)
+
+
+def _with_matrix(d, matrix, scale_sq=None):
+    return ScaledDictionary(
+        d.family, d.q, d.dimension, scale_sq or d.scale_sq, matrix, d.block_labels
+    )
+
+
+def _tampered_dictionaries(family, q, seed, count=12):
+    """Seeded tamperings of one family: entries zeroed, sign flips, entries
+    of +-2, columns swapped, and a whole block's rows permuted."""
+    d = build_dictionary(family, q)
+    rng = np.random.default_rng(seed)
+    rows, cols = d.matrix.shape
+    yield d
+    for _ in range(count):
+        m = d.matrix.copy()
+        kind = rng.integers(5)
+        if kind == 0:  # one entry of a column's support zeroed
+            c = int(rng.integers(cols))
+            m[rng.choice(np.flatnonzero(m[:, c])), c] = 0
+        elif kind == 1:  # a few sign flips
+            for _ in range(rng.integers(1, 4)):
+                m[rng.integers(rows), rng.integers(cols)] *= -1
+        elif kind == 2:  # entries of +-2
+            m[rng.integers(rows, size=2), rng.integers(cols, size=2)] = (2, -2)
+        elif kind == 3:  # two columns swapped, maybe across blocks
+            a, b = rng.choice(cols, 2, replace=False)
+            m[:, [a, b]] = m[:, [b, a]]
+        else:  # the rows of one block permuted: it stays orthonormal
+            blk = int(rng.integers(cols // rows)) * rows
+            m[:, blk : blk + rows] = m[rng.permutation(rows), blk : blk + rows]
+        yield _with_matrix(d, m)
+
+
+def _only_zero_fails():
+    """Blocks I, P and -P for a permutation matrix P, scale_sq 1: every block
+    is orthonormal and every cross entry lies in [-1, 1], but most are 0."""
+    eye = np.eye(4, dtype=np.int8)
+    perm = eye[:, [1, 2, 3, 0]]
+    matrix = np.hstack([eye, perm, -perm])
+    return ScaledDictionary("thm1", 2, 4, 1, matrix, (0, 1, INFINITY))
+
+
+def _int64_path():
+    # 4 * 2048^2 = 2^24: the Gram bound leaves float32, products are 2048^2
+    d = build_dictionary("thm1", 2)
+    return _with_matrix(d, d.matrix.astype(np.int32) * 2048, d.scale_sq * 2048**2)
+
+
+def _gram_cases():
+    for family, q, seed in (("thm1", 2, 1), ("thm1", 4, 2), ("thm2", 2, 3)):
+        for i, d in enumerate(_tampered_dictionaries(family, q, seed)):
+            yield pytest.param(d, id=f"{family}-q{q}-{i}")
+    yield pytest.param(_only_zero_fails(), id="only-zero-fails")
+    yield pytest.param(_int64_path(), id="int64-path")
+    zeroed = build_dictionary("thm1", 2).matrix * 0
+    yield pytest.param(_with_matrix(build_dictionary("thm1", 2), zeroed), id="all-zero")
+
+
+@pytest.mark.parametrize("dictionary", list(_gram_cases()))
+def test_gram_check_matches_the_scanning_oracle(dictionary):
+    assert _gram_outcome(gram_check, dictionary) == _gram_outcome(
+        _scanning_gram_check, dictionary
+    )
+
+
+def test_int64_path_case_takes_the_int64_strips():
+    assert next(gram_strips(_int64_path().matrix, 4)).dtype == np.int64
+
+
+def test_a_zero_cross_entry_is_caught_only_by_the_zero_test():
+    d = _only_zero_fails()
+    strips = list(gram_strips(d.matrix, 4))
+    cross = strips[0][:, 4:]
+    assert cross.max() <= 1 and cross.min() >= -1 and (cross == 0).any()
+    gram = gram_check(d)
+    assert gram.orthonormal
+    assert gram.report.failures == [
+        "bases (0, 1): columns (0, 0) have product 0, want +-1",
+        "bases (0, inf): columns (0, 0) have product 0, want +-1",
+        "bases (1, inf): columns (0, 1) have product 0, want +-1",
+    ]
+    assert gram.coherence == 1
+
+
+def test_thm1_q16_zeroed_entry_matches_the_scanning_oracle():
+    d = build_dictionary("thm1", 16)
+    m = d.matrix.copy()
+    col = 3 * 256 + 17  # a column of block 3
+    m[np.flatnonzero(m[:, col])[5], col] = 0
+    tampered = _with_matrix(d, m)
+    got = _gram_outcome(gram_check, tampered)
+    assert got == _gram_outcome(_scanning_gram_check, tampered)
+    assert not got[3] and any(f.startswith("bases (0, 3)") for f in got[1])
+
+
+# build_basis places each block with one fancy-index assignment; the oracle
+# places each net vector's q columns with np.ix_, one vector at a time.
+
+
+def _ix_build_basis(net, hs, b):
+    q = net.shape[1]
+    family = net[q if b == INFINITY else b]
+    m = np.zeros((q * q, q * q), dtype=np.int8)
+    for u in range(q):
+        rows = np.flatnonzero(family[u])
+        m[np.ix_(rows, np.arange(u * q, (u + 1) * q))] = hs
+    return m
+
+
+@pytest.mark.parametrize(
+    "family,q", [("thm1", 2), ("thm1", 4), ("thm1", 8), ("thm1", 16), ("thm2", 2), ("thm2", 4)]
+)
+def test_build_basis_matches_the_ix_oracle(family, q):
+    built = construct(family, q)
+    for b in block_labels(built.field.q):
+        got = build_basis(built.net, built.signs, b)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _ix_build_basis(built.net, built.signs, b))
+
+
+def test_build_basis_refuses_a_net_vector_without_q_ones(gf4):
+    net = build_net(gf4)
+    net[2, 1, np.flatnonzero(net[2, 1])[0]] = 0
+    with pytest.raises(ValueError, match=r"net vector \(2, 1\) has 3 ones, want 4"):
+        build_basis(net, permuted_hadamard(2), 2)
+    assert build_basis(net, permuted_hadamard(2), 1).shape == (16, 16)
