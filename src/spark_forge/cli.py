@@ -25,8 +25,8 @@ was.  A dictionary CSV exactly as written is read from its bytes, without
 rewriting them: a few passes check its alphabet and token grammar, and
 only the line ends, "-" and "1" bytes are located; other text gets the
 tolerant per-token parse, with the same result.  `construct` and `verify`
-time their stages (build, read, structural checks, Gram pass, write) into
-the report's "timing" object.
+time their stages (build, read, structural checks, Gram check, write) and
+name the Gram check's path in the report's "timing" object.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -339,13 +339,14 @@ def collect_reports(
     vector: dct.SparseVector | None,
     built: dct.Construction,
     stages: dict | None = None,
-) -> tuple[list[CheckReport], dct.SparkCertificate | None]:
+) -> tuple[list[CheckReport], dct.SparkCertificate | None, str]:
     """The one certification step of `construct` and `verify`: every named
     structural verifier (the machinery checks on `built`, the construction
-    of the dictionary's family and q, and the checks of the given artifacts)
-    and the spark certificate, which is None unless the vector passes
-    `kernel_check` and every block is orthonormal, as the bounds assume.
-    The seconds of the Gram pass and of everything else go to `stages`."""
+    of the dictionary's family and q, and the checks of the given artifacts),
+    the spark certificate, which is None unless the vector passes
+    `kernel_check` and every block is orthonormal, as the bounds assume, and
+    the path that decided the Gram check.  The seconds of the Gram check
+    and of everything else go to `stages`."""
     field = built.field
     with _stage(stages, "structural_checks"):
         reports = [
@@ -358,7 +359,7 @@ def collect_reports(
             reports.append(verify_coset_antisymmetry(field, built.signs))
 
         support_rep = CheckReport("column-support")
-        counts = (dictionary.matrix != 0).sum(axis=0)
+        counts = np.count_nonzero(dictionary.matrix, axis=0)
         bad = np.flatnonzero(counts != dictionary.scale_sq)
         support_rep.count(dictionary.n_cols)
         if bad.size:
@@ -379,7 +380,7 @@ def collect_reports(
             reports.append(kernel)
             if kernel.passed and gram.orthonormal:
                 certificate = dct.spark_certify(gram, vector)
-    return reports, certificate
+    return reports, certificate, gram.decided_by
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +400,16 @@ def run_report(
     checks: list[CheckReport],
     elapsed: float,
     stages: dict | None = None,
+    gram_path: str | None = None,
 ) -> dict:
-    """The run report; `stages` adds the seconds of each named stage to its
-    "timing" object next to the elapsed seconds."""
+    """The run report; its "timing" object holds the elapsed seconds, those
+    of each named stage in `stages`, and the Gram check's `gram_path`."""
     brute = certificate.brute_force if certificate else None
     timing = {"elapsed_seconds": round(elapsed, 6)}
     if stages is not None:
         timing["stage_seconds"] = {k: round(v, 6) for k, v in stages.items()}
+    if gram_path is not None:
+        timing["gram_path"] = gram_path
     return {
         "schema": "spark-forge run report v1",
         "command": command,
@@ -580,10 +584,10 @@ def _cmd_construct(args) -> int:
     with _stage(stages, "write"):
         _write(paths["dictionary"], dictionary_csv(dictionary))
         _write(paths["vector"], vector_csv(vector, dictionary.q))
-    checks, certificate = collect_reports(dictionary, vector, built, stages)
+    checks, certificate, gram_path = collect_reports(dictionary, vector, built, stages)
     report = run_report(
         "construct", dictionary, vector, certificate, checks,
-        time.perf_counter() - started, stages,
+        time.perf_counter() - started, stages, gram_path,
     )
     _write(paths["report"], report_json(report))
     return 0 if all(rep.passed for rep in checks) else 1
@@ -596,7 +600,7 @@ def _cmd_verify(args) -> int:
     if built is None:
         with _stage(stages, "build"):
             built = dct.construct(dictionary.family, dictionary.q)
-    checks, certificate = collect_reports(dictionary, vector, built, stages)
+    checks, certificate, gram_path = collect_reports(dictionary, vector, built, stages)
     recon = CheckReport("matches-construction")
     with _stage(stages, "structural_checks"):
         recon.require(
@@ -610,7 +614,7 @@ def _cmd_verify(args) -> int:
         print(f"coherence = {certificate.coherence}")
     report = run_report(
         "verify", dictionary, vector, certificate, checks,
-        time.perf_counter() - started, stages,
+        time.perf_counter() - started, stages, gram_path,
     )
     if args.out_dir is not None:
         path = _artifact_paths(args.out_dir, dictionary.family, dictionary.q)["report"]
@@ -698,6 +702,7 @@ def _add_family_q(parser, required=False):
     parser.add_argument("--q", type=int, required=required)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spark-forge",

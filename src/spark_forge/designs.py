@@ -147,19 +147,20 @@ def build_net(ctx: FieldContext) -> np.ndarray:
 def verify_net(net: np.ndarray) -> CheckReport:
     """Exhaustive inner-product check of both net conditions, disjointness
     within a family and a single meeting point across families, on the
-    exact products of `mub.gram_strips`, one family at a time."""
+    exact products of `mub.gram_strips`, one family at a time, for any
+    number of families: `dictionaries.gram_check` reads lines off a matrix."""
     from .mub import gram_strips  # mub imports this module
 
     rep = CheckReport("net-incidence")
-    q = net.shape[1]
-    flat = net.reshape((q + 1) * q, q * q)
+    families, q = net.shape[:2]
+    flat = net.reshape(families * q, q * q)
     ones = flat.sum(axis=1)
     rep.count()
     if (ones != q).any():
         first = int(np.flatnonzero(ones != q)[0])
         rep.fail(f"vector {first} has {int(ones[first])} ones, want {q}")
-    n = (q + 1) * q
-    labels = block_labels(q)
+    n = families * q
+    labels = block_labels(q) if families == q + 1 else range(families)
     rep.count(n * (n - 1) // 2)
     for ba, strip in enumerate(gram_strips(flat.T, q)):
         # strip[ja, c] pairs vector (ba, ja) with vector ba * q + c; row by

@@ -23,16 +23,15 @@ still the lex-least dependent subset.  A size runs in process until its
 count of such subsets reaches `_POOL_MIN_SUBSETS`; from the first that
 does, a pool of worker processes, no larger than the usable CPUs, takes
 the tasks.
-`gram_check` reads the block Gram strips of `mub.gram_strips` once and
-yields the orthonormality and unbiasedness checks together with the
-coherence; the strips are float32 BLAS products, exact because every entry
-and partial sum is an integer below 2^24 in magnitude (checked at run
-time, with an int64 fallback).  Each strip is decided by one exact test,
-its self block against scale_sq * I and its cross part by its maximum,
-minimum and a zero test; only a failing strip is scanned for the entries
-its messages name.  A spark certificate takes that pass, so
-the coherence bounds are applied only where their hypothesis, orthonormal
-blocks, was checked, and a vector only once it passes `kernel_check`.
+`gram_check` yields the orthonormality and unbiasedness checks together
+with the coherence, from the support incidence alone on the shipped
+(Wocjan-Beth) structure and otherwise from the block Gram strips of
+`mub.gram_strips`, exact float32 BLAS products (every entry and partial
+sum is an integer below 2^24, checked at run time, with an int64
+fallback), each scanned for the first failing entry of each block and of
+each pair.  A spark certificate takes that check, so the coherence bounds
+are applied only where their hypothesis, orthonormal blocks, was checked,
+and a vector only once it passes `kernel_check`.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import INFINITY, Label, block_labels, build_net
+from .designs import INFINITY, Label, block_labels, build_net, verify_net
 from .gf import MAX_DEGREE, FieldContext
 from .hadamard import permuted_hadamard, sylvester
 from .mub import build_basis, gram_strips, integer_peak
@@ -214,28 +213,73 @@ def kernel_check(dictionary: ScaledDictionary, x: SparseVector) -> CheckReport:
 
 @dataclass(frozen=True)
 class GramCheck:
-    """One pass over a dictionary's block Gram strips: the mub-family
-    report, whether every block is orthonormal (its scaled Gram matrix is
-    scale_sq * I), and the exact mutual coherence."""
+    """The mub-family report, whether every block is orthonormal (its scaled
+    Gram matrix is scale_sq * I), the exact mutual coherence, and the path
+    that decided them, "incidence" or "dense"."""
 
     dictionary: ScaledDictionary
     report: CheckReport
     orthonormal: bool
     coherence: Fraction
+    decided_by: str
+
+
+def _incidence_decides(dictionary: ScaledDictionary) -> bool:
+    """Whether the Wocjan-Beth premises hold, for k = scale_sq: 2 or more
+    blocks of d = k^2 columns on d rows; entries in {-1, 0, 1}, k nonzeros
+    in each column; each block's columns fall into lines of k on one
+    support, each line's k x k sign block has Gram k * I, and the lines
+    form a net (`verify_net`).  Then a cross product is one term +-1 * +-1,
+    lines of a block are disjoint, and the dense pass would pass."""
+    m, k, d = dictionary.matrix, dictionary.scale_sq, dictionary.dimension
+    # m.shape[:-1] == (d,): a matrix, not a vector, with d rows
+    if m.dtype.kind not in "biu" or k < 1 or d != k * k or m.shape[:-1] != (d,):
+        return False
+    cols = m.shape[1]
+    if cols % d or cols < 2 * d or m.min() < -1 or m.max() > 1:
+        return False
+    # column by column, each column's support rows ascending; as `at` is
+    # sorted, cols * k entries with every slot of k inside its own column
+    # are exactly k nonzeros in each column
+    mt = np.ascontiguousarray(m.T).ravel()
+    at = np.flatnonzero(mt != 0)
+    if at.size != cols * k:
+        return False
+    rows = at.reshape(cols, k) - np.arange(0, cols * d, d)[:, None]
+    if rows[:, 0].min() < 0 or rows[:, -1].max() >= d:
+        return False
+    # a line's columns sort together, by block and then by first support row
+    order = np.argsort(np.arange(cols) // d * d + rows[:, 0], kind="stable")
+    support = rows[order].reshape(-1, k, k)
+    if not (support == support[:, :1]).all():
+        return False
+    # signs only, as magnitudes are the +-1 premise's; k-term sums are exact
+    signs = np.sign(mt[at], dtype=np.float32).reshape(cols, k)[order].reshape(-1, k, k)
+    if not (signs @ signs.transpose(0, 2, 1) == k * np.eye(k, dtype=np.float32)).all():
+        return False
+    net = np.zeros((cols // k, d), dtype=np.uint8)
+    net[np.arange(cols // k)[:, None], support[:, 0]] = 1
+    return verify_net(net.reshape(cols // d, k, d)).passed
 
 
 def gram_check(dictionary: ScaledDictionary) -> GramCheck:
-    """Exhaustive integer check of the blocks in one pass over the exact
-    block Gram strips: within a block the scaled Gram matrix is scale_sq *
-    I, across two blocks every entry is +1 or -1, and the coherence is the
-    largest |<column_i, column_j>| / scale_sq over distinct columns.  Raises
-    ValueError when the coherence is zero.
+    """Exhaustive integer check of the blocks: within a block the scaled
+    Gram matrix is scale_sq * I, across two blocks every entry is +1 or -1,
+    and the coherence is the largest |<column_i, column_j>| / scale_sq over
+    distinct columns; ValueError when it is zero.  A matrix that meets
+    `_incidence_decides` gets the GramCheck a passing dense pass gives (d^2
+    * (blocks - i) checks for strip i), any other `_dense_gram_check`'s."""
+    if not _incidence_decides(dictionary):
+        return _dense_gram_check(dictionary)
+    d, k = dictionary.dimension, dictionary.scale_sq
+    blocks = dictionary.n_cols // d
+    rep = CheckReport("mub-family", d * d * blocks * (blocks + 1) // 2)
+    return GramCheck(dictionary, rep, True, Fraction(1, k), "incidence")
 
-    Each strip is decided by one exact test: its self block equals scale_sq
-    * I, and its cross part has maximum at most 1, minimum at least -1 and
-    no zero.  The entries are exact integers, so that range-and-zero test is
-    "every cross entry is +1 or -1".  Only a strip that fails it is scanned
-    again, to name the first failing entry of each block and of each pair."""
+
+def _dense_gram_check(dictionary: ScaledDictionary) -> GramCheck:
+    """`gram_check` in one pass over the exact block Gram strips, each
+    scanned for the first failing entry of each block and of each pair."""
     d, labels = dictionary.dimension, dictionary.block_labels
     rep = CheckReport("mub-family")
     want_self = dictionary.scale_sq * np.eye(d, dtype=np.int64)
@@ -244,13 +288,6 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
     for i, strip in enumerate(gram_strips(dictionary.matrix, d)):
         later = strip.shape[1] // d - 1
         rep.count(d * d * (1 + later))
-        cross = strip[:, d:]
-        if np.array_equal(strip[:, :d], want_self):
-            # initial=0: the last strip has no cross part
-            hi, lo = int(cross.max(initial=0)), int(cross.min(initial=0))
-            if hi <= 1 and lo >= -1 and not (cross == 0).any():
-                largest = max(largest, hi, -lo)
-                continue
         bad = strip[:, :d] != want_self
         if bad.any():
             orthonormal = False
@@ -260,7 +297,7 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
                 f"{int(strip[r, c])}"
             )
         # cross[:, t] is the product of block i with block i + 1 + t
-        cross = cross.reshape(d, later, d)
+        cross = strip[:, d:].reshape(d, later, d)
         bad = (cross != 1) & (cross != -1)
         for t in np.flatnonzero(bad.any(axis=(0, 2))):
             r, c = np.argwhere(bad[:, t])[0]
@@ -274,7 +311,7 @@ def gram_check(dictionary: ScaledDictionary) -> GramCheck:
         # only zero columns can be dependent, and the bounds divide by mu
         raise ValueError("coherence is zero: no coherence bound applies")
     mu = Fraction(largest, dictionary.scale_sq)
-    return GramCheck(dictionary, rep, orthonormal, mu)
+    return GramCheck(dictionary, rep, orthonormal, mu, "dense")
 
 
 # ---------------------------------------------------------------------------

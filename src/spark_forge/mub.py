@@ -9,12 +9,11 @@ basis, plus or minus 1 across two bases.  A basis is placed with one
 fancy-index assignment of the sign matrix along the support rows of all q
 net vectors of its label.
 
-Those inner products come from `gram_strips`, the one exact Gram routine
-and the only matrix product in the package: `dictionaries.gram_check`
-reads its strips once for the orthonormality, unbiasedness and coherence
-checks together, deciding each strip with one exact range-and-zero test,
-and `designs.verify_net` reads the net's inner products from it, one
-family at a time.  The strips are float32 BLAS products,
+`dictionaries.gram_check` certifies that structure from the support
+incidence, and any other matrix from `gram_strips`, the one exact block
+Gram routine, scanning each strip for its failing entries;
+`designs.verify_net` reads a net's inner products from it, one family at
+a time.  The strips are float32 BLAS products,
 exact while every Gram entry and partial sum stays below 2^24 in
 magnitude; the bound rows * max|entry|^2 is checked on the actual matrix
 before each pass, int64 is used when it fails, and a bound past int64 is

@@ -60,10 +60,16 @@ def test_construct_rejects_bad_q(tmp_path, capsys):
 )
 def test_round_trip_verify(tmp_path, family, q):
     main(["construct", "--family", family, "--q", str(q), "--out-dir", str(tmp_path)])
+    report = tmp_path / f"report_{family}_q{q}.json"
+    # the shipped matrices are certified from their support incidence
+    assert json.loads(report.read_text())["timing"]["gram_path"] == "incidence"
+    report.unlink()
     code = main(["verify",
                  str(tmp_path / f"dictionary_{family}_q{q}.csv"),
-                 str(tmp_path / f"vector_{family}_q{q}.csv")])
+                 str(tmp_path / f"vector_{family}_q{q}.csv"),
+                 "--out-dir", str(tmp_path)])
     assert code == 0
+    assert json.loads(report.read_text())["timing"]["gram_path"] == "incidence"
 
 
 def test_verify_from_family_flags(capsys):
@@ -86,11 +92,14 @@ def test_verify_flipped_sign_fails_mub_check(tmp_path, capsys):
     assert lines[1].startswith("1,")
     lines[1] = "-1" + lines[1][1:]
     path.write_text("\n".join(lines) + "\n")
-    code = main(["verify", str(path), str(tmp_path / "vector_thm1_q2.csv")])
+    code = main(["verify", str(path), str(tmp_path / "vector_thm1_q2.csv"),
+                 "--out-dir", str(tmp_path)])
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL mub-family" in out or "FAIL column-support" in out
     assert "FAIL matches-construction" in out
+    report = json.loads((tmp_path / "report_thm1_q2.json").read_text())
+    assert report["timing"]["gram_path"] == "dense"
 
 
 def test_verify_empty_file_is_input_error(tmp_path, capsys):
@@ -686,10 +695,12 @@ def test_one_input_file_of_each_kind(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("argv", "dictionary_passes", "net_passes"),
     [
-        (["construct", "--family", "thm1", "--q", "16"], 1, 1),
-        (["verify", "FILES"], 1, 1),
-        (["verify", "--family", "thm1", "--q", "16"], 1, 1),
-        (["spark", "--family", "thm2", "--q", "2"], 1, 0),
+        # the shipped matrices are decided from their line net, read off
+        # the matrix, and never take the dense strips
+        (["construct", "--family", "thm1", "--q", "16"], 0, 2),
+        (["verify", "FILES"], 0, 2),
+        (["verify", "--family", "thm1", "--q", "16"], 0, 2),
+        (["spark", "--family", "thm2", "--q", "2"], 0, 1),
         (["export", "--family", "thm2", "--q", "4", "--format", "json"], 0, 0),
     ],
     ids=["construct", "verify-files", "verify-flags", "spark-flags", "export"],
@@ -744,7 +755,7 @@ def test_numpy_integer_support_exports_like_plain_ints(tmp_path):
     for x in (plain, wide):
         with open(tmp_path / "d.json", "wb") as f:
             cli.dictionary_json(d, x, f)
-        checks, certificate = cli.collect_reports(d, x, built)
+        checks, certificate, _ = cli.collect_reports(d, x, built)
         report = cli.run_report("construct", d, x, certificate, checks, 0.0)
         outputs.append(((tmp_path / "d.json").read_bytes(), cli.report_json(report)))
     assert outputs[0] == outputs[1]

@@ -21,6 +21,7 @@ from spark_forge import (
     spark_bruteforce,
     verify_net,
 )
+from spark_forge.dictionaries import _dense_gram_check, _incidence_decides
 from spark_forge.mub import gram_strips
 from spark_forge.report import CheckReport
 
@@ -285,9 +286,9 @@ def test_every_exact_kernel_refuses_every_bad_input(kernel, matrix):
         kernel(matrix)
 
 
-# gram_check decides each strip with one range-and-zero test and scans only
-# a failing strip for its messages; this oracle scans every strip for the
-# first bad entry of each block and each pair, as the check once did.
+# gram_check's dense pass scans the float32 strips of mub.gram_strips; this
+# oracle scans int64 strips for the first bad entry of each block and each
+# pair, so the two share no product.
 
 
 def _scanning_gram_check(dictionary):
@@ -343,10 +344,14 @@ def _with_matrix(d, matrix, scale_sq=None):
 
 def _tampered_dictionaries(family, q, seed, count=12):
     """Seeded tamperings of one family: entries zeroed, sign flips, entries
-    of +-2, columns swapped, and a whole block's rows permuted."""
+    of +-2, columns swapped, and a whole block's rows permuted, at random;
+    then a sign flip inside one line, a line of one block swapped with a
+    line of another, a block's rows permuted, and the first 2 blocks alone.
+    A line is the k = scale_sq columns of a block that share one support."""
     d = build_dictionary(family, q)
     rng = np.random.default_rng(seed)
     rows, cols = d.matrix.shape
+    k = d.scale_sq
     yield d
     for _ in range(count):
         m = d.matrix.copy()
@@ -366,6 +371,20 @@ def _tampered_dictionaries(family, q, seed, count=12):
             blk = int(rng.integers(cols // rows)) * rows
             m[:, blk : blk + rows] = m[rng.permutation(rows), blk : blk + rows]
         yield _with_matrix(d, m)
+    m = d.matrix.copy()  # one sign flipped inside a line
+    c = int(rng.integers(cols))
+    m[rng.choice(np.flatnonzero(m[:, c])), c] *= -1
+    yield _with_matrix(d, m)
+    m = d.matrix.copy()  # columns u*k .. u*k + k - 1 of a block are line u
+    blocks = rng.choice(cols // rows, 2, replace=False)
+    a, b = blocks * rows + rng.integers(k, size=2) * k
+    m[:, a : a + k], m[:, b : b + k] = d.matrix[:, b : b + k], d.matrix[:, a : a + k]
+    yield _with_matrix(d, m)
+    m = d.matrix.copy()
+    blk = int(rng.integers(cols // rows)) * rows
+    m[:, blk : blk + rows] = m[rng.permutation(rows), blk : blk + rows]
+    yield _with_matrix(d, m)
+    yield _with_matrix(d, d.matrix[:, : 2 * rows])
 
 
 def _only_zero_fails():
@@ -428,6 +447,87 @@ def test_thm1_q16_zeroed_entry_matches_the_scanning_oracle():
     got = _gram_outcome(gram_check, tampered)
     assert got == _gram_outcome(_scanning_gram_check, tampered)
     assert not got[3] and any(f.startswith("bases (0, 3)") for f in got[1])
+
+
+# gram_check decides a matrix from its support incidence when the
+# Wocjan-Beth premises hold and leaves every other one to the dense strips.
+# A passing incidence decision must be the whole GramCheck the dense pass
+# gives, and a matrix that misses any one premise must go to the dense pass.
+
+
+def _premise_mutants():
+    """thm1 q=4 (k = 4, d = 16), and one thm1 q=2, changed so that exactly
+    one premise of `_incidence_decides` fails, and the dense check fails or
+    raises.  Column
+    c = 21 is the second column of line 1 of block 1."""
+    d = build_dictionary("thm1", 4)
+    c = 21
+    support = np.flatnonzero(d.matrix[:, c])
+    m = [d.matrix.copy() for _ in range(5)]
+    m[0][support[0], c] *= 2
+    m[1][support[0], c] = 0
+    # the last support row moved down, so c keeps its first row and the
+    # order of its signs, onto a row of another line
+    later = next(r for r in range(support[-1] + 1, 16) if r not in support)
+    m[2][[support[-1], later], c] = m[2][[later, support[-1]], c]
+    m[3][support[1], c] *= -1
+    # a row of line 1 and a row of another line of block 1 swapped: the
+    # lines still split the rows, but no longer meet every other line once
+    outside = next(r for r in range(16) if r not in support)
+    m[4][[support[0], outside], 16:32] = m[4][[outside, support[0]], 16:32]
+    # thm1 q=2 with the last nonzero of column 3 moved into column 1: the
+    # total is still cols * k, and read k at a time with no column bounds,
+    # the nonzeros would pass every other premise
+    small = build_dictionary("thm1", 2)
+    uneven = small.matrix.copy()
+    uneven[3, 1], uneven[3, 3] = -1, 0
+    return {
+        "columns-with-k+1-and-k-1-nonzeros": _with_matrix(small, uneven),
+        "one-block": ScaledDictionary("thm1", 4, 16, 4, d.matrix[:, :16].copy(), (0,)),
+        "entry-2": _with_matrix(d, m[0]),
+        "column-with-k-1-nonzeros": _with_matrix(d, m[1]),
+        "column-off-its-line": _with_matrix(d, m[2]),
+        "sign-block-gram": _with_matrix(d, m[3]),
+        "lines-meet-twice": _with_matrix(d, m[4]),
+    }
+
+
+PREMISE_MUTANTS = _premise_mutants()
+
+
+@pytest.mark.parametrize("dictionary", PREMISE_MUTANTS.values(), ids=PREMISE_MUTANTS)
+def test_a_matrix_missing_one_premise_goes_to_the_dense_pass(dictionary):
+    assert not _incidence_decides(dictionary)
+    dense = _gram_outcome(_dense_gram_check, dictionary)
+    assert dense[0] == "error" or dense[1]
+    assert _gram_outcome(gram_check, dictionary) == dense
+
+
+SHIPPED = [
+    ("thm1", 2), ("thm1", 4), ("thm1", 8), ("thm1", 16), ("thm2", 2), ("thm2", 4)
+]
+
+
+def _differential_cases():
+    for family, q in SHIPPED:
+        count = 4 if q == 16 else 12
+        for i, d in enumerate(_tampered_dictionaries(family, q, 100 + q, count)):
+            yield pytest.param(d, id=f"{family}-q{q}-{i}")
+
+
+@pytest.mark.parametrize("dictionary", list(_differential_cases()))
+def test_incidence_and_dense_paths_give_one_gram_check(dictionary):
+    assert _gram_outcome(gram_check, dictionary) == _gram_outcome(
+        _dense_gram_check, dictionary
+    )
+
+
+@pytest.mark.parametrize(("family", "q"), SHIPPED)
+def test_shipped_families_are_decided_by_incidence(family, q):
+    d = build_dictionary(family, q)
+    two_blocks = _with_matrix(d, d.matrix[:, : 2 * d.dimension])
+    assert gram_check(d).decided_by == "incidence"
+    assert gram_check(two_blocks).decided_by == "incidence"
 
 
 # build_basis places each block with one fancy-index assignment; the oracle
