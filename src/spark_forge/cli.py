@@ -661,7 +661,7 @@ def _cmd_spark(args) -> int:
             )
         else:
             print(f"brute force: no dependent subset of size <= {brute.k_checked}")
-        if brute.k_checked < brute.k_max:
+        if brute.k_checked < min(brute.k_max, dictionary.n_cols):
             print(
                 f"warning: budget {brute.budget} limited the search to "
                 f"size <= {brute.k_checked}",

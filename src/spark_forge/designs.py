@@ -46,9 +46,9 @@ def verify_mols(squares: Sequence[np.ndarray]) -> CheckReport:
 
     All squares are checked at once: one sort each for the rows and the
     columns, one one-hot product for the meeting counts of every pair of
-    columns of every pair of squares, and one sort of the codes q*sa + sb of
-    every pair of nonzero labels.  The product holds (number of squares *
-    q)^2 counts, each at most q, so float32 is exact."""
+    columns of every pair of squares, and `orthogonal` on the squares with
+    nonzero labels.  The product holds (number of squares * q)^2 counts,
+    each at most q, so float32 is exact."""
     rep = CheckReport("latin-squares")
     if not squares:
         return rep
@@ -71,13 +71,9 @@ def verify_mols(squares: Sequence[np.ndarray]) -> CheckReport:
     meet_bad = (meets != 1).any(axis=(1, 3))
 
     # orthogonality of squares a < b, both with nonzero labels
-    ia, ib = np.triu_indices(n, 1)
-    ia, ib = ia[ia > 0], ib[ia > 0]
-    wide = s.reshape(n, q * q).astype(np.int64)
-    pairs = np.sort(wide[ia] * q + wide[ib], axis=1)
-    distinct = 1 + (pairs[:, 1:] != pairs[:, :-1]).sum(axis=1)
+    ia, ib = np.triu_indices(n - 1, 1)
     orth_bad = np.zeros((n, n), dtype=bool)
-    orth_bad[ia, ib] = distinct != q * q
+    orth_bad[ia + 1, ib + 1] = ~orthogonal(s[1:].reshape(n - 1, q * q), q)
 
     # one check per row and column test, per pair, and per orthogonal pair
     rep.count(2 * n - 1 + n * (n - 1) // 2 + (n - 1) * (n - 2) // 2)
@@ -96,6 +92,16 @@ def verify_mols(squares: Sequence[np.ndarray]) -> CheckReport:
         if orth_bad[a, b]:
             rep.fail(f"squares r={a}, r={b} are not orthogonal")
     return rep
+
+
+def orthogonal(labels: np.ndarray, k: int) -> np.ndarray:
+    """For each pair a < b of rows of `labels`, in `np.triu_indices` order,
+    each row a labelling of k^2 points by 0 .. k-1: whether every label pair
+    (x, y) labels exactly one point.  One sort of the codes k*x + y."""
+    ia, ib = np.triu_indices(len(labels), 1)
+    wide = labels.astype(np.int64)
+    pairs = np.sort(wide[ia] * k + wide[ib], axis=1)
+    return 1 + (pairs[:, 1:] != pairs[:, :-1]).sum(axis=1) == k * k
 
 
 def collision_table(ctx: FieldContext) -> np.ndarray:
@@ -147,20 +153,19 @@ def build_net(ctx: FieldContext) -> np.ndarray:
 def verify_net(net: np.ndarray) -> CheckReport:
     """Exhaustive inner-product check of both net conditions, disjointness
     within a family and a single meeting point across families, on the
-    exact products of `mub.gram_strips`, one family at a time, for any
-    number of families: `dictionaries.gram_check` reads lines off a matrix."""
+    exact products of `mub.gram_strips`, one family at a time."""
     from .mub import gram_strips  # mub imports this module
 
     rep = CheckReport("net-incidence")
-    families, q = net.shape[:2]
-    flat = net.reshape(families * q, q * q)
+    q = net.shape[1]
+    flat = net.reshape((q + 1) * q, q * q)
     ones = flat.sum(axis=1)
     rep.count()
     if (ones != q).any():
         first = int(np.flatnonzero(ones != q)[0])
         rep.fail(f"vector {first} has {int(ones[first])} ones, want {q}")
-    n = families * q
-    labels = block_labels(q) if families == q + 1 else range(families)
+    n = (q + 1) * q
+    labels = block_labels(q)
     rep.count(n * (n - 1) // 2)
     for ba, strip in enumerate(gram_strips(flat.T, q)):
         # strip[ja, c] pairs vector (ba, ja) with vector ba * q + c; row by

@@ -25,7 +25,8 @@ does, a pool of worker processes, no larger than the usable CPUs, takes
 the tasks.
 `gram_check` yields the orthonormality and unbiasedness checks together
 with the coherence, from the support incidence alone on the shipped
-(Wocjan-Beth) structure and otherwise from the block Gram strips of
+(Wocjan-Beth) structure, read at the lines `mub.build_basis` writes, and
+otherwise from the block Gram strips of
 `mub.gram_strips`, exact float32 BLAS products (every entry and partial
 sum is an integer below 2^24, checked at run time, with an int64
 fallback), each scanned for the first failing entry of each block and of
@@ -47,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import INFINITY, Label, block_labels, build_net, verify_net
+from .designs import INFINITY, Label, block_labels, build_net, orthogonal
 from .gf import MAX_DEGREE, FieldContext
 from .hadamard import permuted_hadamard, sylvester
 from .mub import build_basis, gram_strips, integer_peak
@@ -225,12 +226,15 @@ class GramCheck:
 
 
 def _incidence_decides(dictionary: ScaledDictionary) -> bool:
-    """Whether the Wocjan-Beth premises hold, for k = scale_sq: 2 or more
-    blocks of d = k^2 columns on d rows; entries in {-1, 0, 1}, k nonzeros
-    in each column; each block's columns fall into lines of k on one
-    support, each line's k x k sign block has Gram k * I, and the lines
-    form a net (`verify_net`).  Then a cross product is one term +-1 * +-1,
-    lines of a block are disjoint, and the dense pass would pass."""
+    """Whether the Wocjan-Beth premises hold for k = scale_sq, d = k^2 and
+    line j of block b at columns b*d + j*k .. b*d + j*k + k - 1, where
+    `mub.build_basis` writes it: 2 or more blocks of d columns on d rows,
+    entries in {-1, 0, 1}; every row is on one line of each block and the
+    line labels of every two blocks are `designs.orthogonal`, so lines have
+    k rows and lines of two blocks meet once; each line's k x k sign block
+    has Gram k * I, and no other entry is nonzero, so the k columns of a
+    line share its support.  Then a cross product is one term +-1 * +-1 and
+    the dense pass would pass."""
     m, k, d = dictionary.matrix, dictionary.scale_sq, dictionary.dimension
     # m.shape[:-1] == (d,): a matrix, not a vector, with d rows
     if m.dtype.kind not in "biu" or k < 1 or d != k * k or m.shape[:-1] != (d,):
@@ -238,28 +242,18 @@ def _incidence_decides(dictionary: ScaledDictionary) -> bool:
     cols = m.shape[1]
     if cols % d or cols < 2 * d or m.min() < -1 or m.max() > 1:
         return False
-    # column by column, each column's support rows ascending; as `at` is
-    # sorted, cols * k entries with every slot of k inside its own column
-    # are exactly k nonzeros in each column
-    mt = np.ascontiguousarray(m.T).ravel()
-    at = np.flatnonzero(mt != 0)
-    if at.size != cols * k:
+    if np.count_nonzero(m) != cols * k:
         return False
-    rows = at.reshape(cols, k) - np.arange(0, cols * d, d)[:, None]
-    if rows[:, 0].min() < 0 or rows[:, -1].max() >= d:
+    # on[r, b, j]: row r is on line j of block b, read at the line's first column
+    on = (m[:, ::k] != 0).reshape(d, cols // d, k)
+    if not (on.sum(axis=2) == 1).all() or not orthogonal(on.argmax(axis=2).T, k).all():
         return False
-    # a line's columns sort together, by block and then by first support row
-    order = np.argsort(np.arange(cols) // d * d + rows[:, 0], kind="stable")
-    support = rows[order].reshape(-1, k, k)
-    if not (support == support[:, :1]).all():
-        return False
-    # signs only, as magnitudes are the +-1 premise's; k-term sums are exact
-    signs = np.sign(mt[at], dtype=np.float32).reshape(cols, k)[order].reshape(-1, k, k)
-    if not (signs @ signs.transpose(0, 2, 1) == k * np.eye(k, dtype=np.float32)).all():
-        return False
-    net = np.zeros((cols // k, d), dtype=np.uint8)
-    net[np.arange(cols // k)[:, None], support[:, 0]] = 1
-    return verify_net(net.reshape(cols // d, k, d)).passed
+    # as in build_basis: line u's k support rows, at columns u*k .. u*k + k - 1
+    rows = np.nonzero(on.reshape(d, -1).T)[1].reshape(-1, k)
+    signs = m.reshape(d, -1, k)[rows, np.arange(cols // k)[:, None]].astype(np.float32)
+    # exact k-term sums; a diagonal of k leaves no zero on the line's rows
+    gram = signs.transpose(0, 2, 1) @ signs
+    return bool((gram == k * np.eye(k, dtype=np.float32)).all())
 
 
 def gram_check(dictionary: ScaledDictionary) -> GramCheck:

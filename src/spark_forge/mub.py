@@ -10,14 +10,14 @@ fancy-index assignment of the sign matrix along the support rows of all q
 net vectors of its label.
 
 `dictionaries.gram_check` certifies that structure from the support
-incidence, and any other matrix from `gram_strips`, the one exact block
-Gram routine, scanning each strip for its failing entries;
-`designs.verify_net` reads a net's inner products from it, one family at
-a time.  The strips are float32 BLAS products,
-exact while every Gram entry and partial sum stays below 2^24 in
-magnitude; the bound rows * max|entry|^2 is checked on the actual matrix
-before each pass, int64 is used when it fails, and a bound past int64 is
-refused.  `integer_peak` is the input rule of every exact kernel, here and
+incidence, reading each line at the columns written here, and any other
+matrix from `gram_strips`, the one exact block Gram routine, scanning
+each strip for its failing entries; `designs.verify_net` reads the net's
+inner products from it, one family at a time.  The strips are float32
+BLAS products, exact while every Gram entry and partial sum stays below
+2^24 in magnitude; the bound rows * max|entry|^2 is checked on the actual
+matrix before each pass, int64 is used when it fails, and a bound past
+int64 is refused.  `integer_peak` is the input rule of every exact kernel, here and
 in `dictionaries`, and gives the entry magnitude their bounds start from.
 """
 

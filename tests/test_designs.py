@@ -17,6 +17,7 @@ from spark_forge import (
     verify_mols,
     verify_net,
 )
+from spark_forge.designs import orthogonal
 from spark_forge.mub import gram_strips
 from spark_forge.report import CheckReport
 
@@ -333,6 +334,13 @@ def test_verify_mols_oracle_cases_fail_in_every_way():
     for phrase in ("row is not injective", "column is not a permutation",
                    "times", "are not orthogonal"):
         assert any(phrase in f for f in failures), phrase
+
+
+def test_orthogonal_reads_every_pair_in_triu_order(gf4):
+    """The squares r = 1, 2, 3, 1 of GF(4) as labellings of 16 points: only
+    the pair of equal labellings, (0, 3), is not orthogonal."""
+    labels = np.stack([latin_square(gf4, r).ravel() for r in (1, 2, 3, 1)])
+    assert orthogonal(labels, 4).tolist() == [True, True, False, True, True, True]
 
 
 def test_verify_mols_refuses_mixed_orders(gf4):

@@ -458,12 +458,13 @@ def test_thm1_q16_zeroed_entry_matches_the_scanning_oracle():
 def _premise_mutants():
     """thm1 q=4 (k = 4, d = 16), and one thm1 q=2, changed so that exactly
     one premise of `_incidence_decides` fails, and the dense check fails or
-    raises.  Column
-    c = 21 is the second column of line 1 of block 1."""
+    raises.  Line j of block b is columns b*16 + 4j .. b*16 + 4j + 3, so
+    column c = 21 is the second column of line 1 of block 1."""
     d = build_dictionary("thm1", 4)
     c = 21
     support = np.flatnonzero(d.matrix[:, c])
-    m = [d.matrix.copy() for _ in range(5)]
+    outside = next(r for r in range(16) if r not in support)
+    m = [d.matrix.copy() for _ in range(7)]
     m[0][support[0], c] *= 2
     m[1][support[0], c] = 0
     # the last support row moved down, so c keeps its first row and the
@@ -473,11 +474,16 @@ def _premise_mutants():
     m[3][support[1], c] *= -1
     # a row of line 1 and a row of another line of block 1 swapped: the
     # lines still split the rows, but no longer meet every other line once
-    outside = next(r for r in range(16) if r not in support)
     m[4][[support[0], outside], 16:32] = m[4][[outside, support[0]], 16:32]
+    # one more nonzero in c, off its line: every line's first column and
+    # sign block are as built, and only the nonzero count is off
+    m[5][outside, c] = 1
+    # a row of line 1 also on line 2 at that line's first column 24, and a
+    # nonzero of its second column 25 zeroed, so the count is kept
+    m[6][support[0], 24] = 1
+    m[6][np.flatnonzero(d.matrix[:, 25])[0], 25] = 0
     # thm1 q=2 with the last nonzero of column 3 moved into column 1: the
-    # total is still cols * k, and read k at a time with no column bounds,
-    # the nonzeros would pass every other premise
+    # count is kept, but column 3 has a zero on its line's rows
     small = build_dictionary("thm1", 2)
     uneven = small.matrix.copy()
     uneven[3, 1], uneven[3, 3] = -1, 0
@@ -489,6 +495,8 @@ def _premise_mutants():
         "column-off-its-line": _with_matrix(d, m[2]),
         "sign-block-gram": _with_matrix(d, m[3]),
         "lines-meet-twice": _with_matrix(d, m[4]),
+        "entry-off-its-line": _with_matrix(d, m[5]),
+        "row-on-two-lines-of-one-block": _with_matrix(d, m[6]),
     }
 
 
@@ -501,6 +509,20 @@ def test_a_matrix_missing_one_premise_goes_to_the_dense_pass(dictionary):
     dense = _gram_outcome(_dense_gram_check, dictionary)
     assert dense[0] == "error" or dense[1]
     assert _gram_outcome(gram_check, dictionary) == dense
+
+
+@pytest.mark.parametrize(("family", "q"), [("thm1", 4), ("thm2", 2)])
+def test_valid_lines_in_another_column_order_take_the_dense_pass(family, q):
+    """Columns 16 and 20 of block 1 swapped between lines 0 and 1: still a
+    union of mutually unbiased bases, but not where `build_basis` writes
+    its lines, so the dense pass certifies it, with the same outcome."""
+    d = build_dictionary(family, q)
+    m = d.matrix.copy()
+    m[:, [16, 20]] = m[:, [20, 16]]
+    swapped = _with_matrix(d, m)
+    assert not _incidence_decides(swapped)
+    assert gram_check(swapped).decided_by == "dense"
+    assert _gram_outcome(gram_check, swapped) == _gram_outcome(gram_check, d)
 
 
 SHIPPED = [
