@@ -1,8 +1,10 @@
 """Walk through the smallest dictionary: q = 2, dimension 4, three bases.
 
 Every object along the way is printed: the GF(2) tables, the two Latin
-squares, the six net vectors, the three scaled bases, the 4 x 12 dictionary,
-its 3-sparse kernel vector, and the exact spark certificate.
+squares, the six lines of the net (each printed as the 0/1 incidence vector
+of its points, read from the net's line labels), the three scaled bases, the
+4 x 12 dictionary, its 3-sparse kernel vector, and the exact spark
+certificate.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ labels = sf.block_labels(2)
 print("\nincidence vectors (one family per label):")
 for i, b in enumerate(labels):
     for j in range(2):
-        print(f"  m[{b},{j}] = {net[i, j]}")
+        print(f"  m[{b},{j}] = {(net[i] == j).astype(np.uint8)}")
 print("net conditions:", sf.verify_net(net).summary())
 
 print("\nsign matrix of order 2 (the permutation fixes it):")

@@ -1,12 +1,14 @@
 """Latin squares from field multiplication, their collision table, and the
-incidence nets on q^2 points built from them.
+incidence net on q^2 points built from them.
 
 The Latin square with label r has entry (i, j) equal to i*r + j in GF(q).
-For r != 0 these squares are mutually orthogonal.  Stacking one standard
-basis vector per block according to square r yields q incidence vectors per
-label; together with the q "constant block" vectors for the extra label
-they form a net: vectors of one family are disjoint, vectors of different
-families meet in exactly one position.
+For r != 0 these squares are mutually orthogonal.  The net keeps them as
+line labels: family r < q puts point i*q + j on line (i, j) of square r,
+and the extra infinity family puts block i of q points on line i.  A
+labelling makes the lines of one family disjoint; lines of different
+families meet in exactly one point when the two labellings are
+`orthogonal`, the one test of the squares, the net and the dictionary's
+lines.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def verify_mols(squares: Sequence[np.ndarray]) -> CheckReport:
     nonzero labels.  The product holds (number of squares * q)^2 counts,
     each at most q, so float32 is exact."""
     rep = CheckReport("latin-squares")
-    if not squares:
+    if len(squares) == 0:
         return rep
     q = len(squares[0])
     if any(np.shape(sq) != (q, q) for sq in squares):
@@ -136,45 +138,42 @@ def verify_collision_table(t: np.ndarray) -> CheckReport:
 
 
 def build_net(ctx: FieldContext) -> np.ndarray:
-    """(q+1) families of q incidence vectors on q^2 points, as a (q+1, q,
-    q^2) uint8 array: [b, j] is the 0/1 vector of label b, index j, and
-    family q is the infinity label.  Family b < q places one 1 per block at
-    the position given by Latin square b; the infinity family fills block j."""
+    """The net's q+1 families of q lines on q^2 points, as a (q+1, q^2)
+    int32 array of line labels: point p is on line net[b, p] of family b.
+    Row b < q is Latin square b read row by row; row q, the infinity
+    family, puts block j, points j*q .. j*q + q - 1, on line j."""
     q = ctx.q
-    vectors = np.zeros((q + 1, q, q * q), dtype=np.uint8)
-    index = np.arange(q)
-    for b in range(q):
-        # vector (b, j) has its 1 in block i at position lb[i, j]
-        vectors[b, index, index[:, None] * q + latin_square(ctx, b)] = 1
-    vectors[q].reshape(q, q, q)[index, index] = 1  # vector j fills block j
-    return vectors
+    squares = [latin_square(ctx, b).ravel() for b in range(q)]
+    return np.stack(squares + [np.arange(q * q, dtype=np.int32) // q])
 
 
 def verify_net(net: np.ndarray) -> CheckReport:
-    """Exhaustive inner-product check of both net conditions, disjointness
-    within a family and a single meeting point across families, on the
-    exact products of `mub.gram_strips`, one family at a time."""
-    from .mub import gram_strips  # mub imports this module
-
+    """Both net conditions on the line labels of `build_net`.  One check
+    that each of the q+1 rows labels q^2 points by lines 0 .. q-1, so lines
+    of one family are disjoint; then one check per pair of lines of
+    different families, that they meet once, decided per family pair by
+    `orthogonal`.  A failing pair names its first line pair that does not
+    meet once.  ValueError unless the labels are integers."""
+    if net.dtype.kind not in "iu":
+        raise ValueError(f"expected integer line labels, got {net.dtype}")
     rep = CheckReport("net-incidence")
-    q = net.shape[1]
-    flat = net.reshape((q + 1) * q, q * q)
-    ones = flat.sum(axis=1)
+    q = len(net) - 1 if net.ndim == 2 else 0
     rep.count()
-    if (ones != q).any():
-        first = int(np.flatnonzero(ones != q)[0])
-        rep.fail(f"vector {first} has {int(ones[first])} ones, want {q}")
+    if q < 1 or net.shape[1] != q * q or net.min() < 0 or net.max() >= q:
+        rep.fail("labels are not lines 0..q-1 of q^2 points")
+        return rep
     n = (q + 1) * q
-    labels = block_labels(q)
     rep.count(n * (n - 1) // 2)
-    for ba, strip in enumerate(gram_strips(flat.T, q)):
-        # strip[ja, c] pairs vector (ba, ja) with vector ba * q + c; row by
-        # row over the strips, np.nonzero walks the pairs (a, b) in order
-        want = np.arange(strip.shape[1]) >= q
-        for ja, c in zip(*np.nonzero(np.triu(strip != want, k=1))):
-            bb, jb = divmod(ba * q + int(c), q)
-            rep.fail(
-                f"<m[{labels[ba]},{ja}], m[{labels[bb]},{jb}]> = "
-                f"{int(strip[ja, c])}, want {int(want[c])}"
-            )
+    labels = block_labels(q)
+    wide = net.astype(np.int64)  # uint64 + int64 would promote to float64
+    ia, ib = np.triu_indices(q + 1, 1)
+    bad = ~orthogonal(net, q)
+    for a, b in zip(ia[bad], ib[bad]):
+        # meets[ja * q + jb] counts the points on line ja of a and jb of b
+        meets = np.bincount(wide[a] * q + wide[b], minlength=q * q)
+        ja, jb = divmod(int(np.argmax(meets != 1)), q)
+        rep.fail(
+            f"lines ({labels[a]}, {ja}) and ({labels[b]}, {jb}) meet "
+            f"{int(meets[ja * q + jb])} times, want 1"
+        )
     return rep

@@ -134,9 +134,10 @@ def family_scale(family: str, q: int) -> int:
 @dataclass(frozen=True)
 class Construction:
     """One family realised: the field the machinery runs over (GF(q) for
-    thm1, its quadratic extension GF(q^2) for thm2), the incidence net and
-    permuted sign matrix built over it, the dictionary, and its kernel
-    vector."""
+    thm1, its quadratic extension GF(q^2) for thm2), the net's line labels
+    (`designs.build_net`, whose first q rows are the field's Latin squares)
+    and the permuted sign matrix built over it, the dictionary, and its
+    kernel vector."""
 
     field: FieldContext
     net: np.ndarray
@@ -246,10 +247,11 @@ def _incidence_decides(dictionary: ScaledDictionary) -> bool:
         return False
     # on[r, b, j]: row r is on line j of block b, read at the line's first column
     on = (m[:, ::k] != 0).reshape(d, cols // d, k)
-    if not (on.sum(axis=2) == 1).all() or not orthogonal(on.argmax(axis=2).T, k).all():
+    labels = on.argmax(axis=2).T
+    if not (on.sum(axis=2) == 1).all() or not orthogonal(labels, k).all():
         return False
-    # as in build_basis: line u's k support rows, at columns u*k .. u*k + k - 1
-    rows = np.nonzero(on.reshape(d, -1).T)[1].reshape(-1, k)
+    # as in build_basis: line u's k rows, at columns u*k .. u*k + k - 1
+    rows = np.argsort(labels, axis=1, kind="stable").reshape(-1, k)
     signs = m.reshape(d, -1, k)[rows, np.arange(cols // k)[:, None]].astype(np.float32)
     # exact k-term sums; a diagonal of k leaves no zero on the line's rows
     gram = signs.transpose(0, 2, 1) @ signs

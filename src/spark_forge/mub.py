@@ -2,18 +2,17 @@
 
 Each basis is stored as a q^2 x q^2 matrix M with entries in {-1, 0, +1};
 the orthonormal basis it represents is M / sqrt(q).  Column (u, v) embeds
-the v-th column of the permuted Hadamard matrix into the support of net
-vector (b, u), so every column has exactly q nonzero entries and all
+the v-th column of the permuted Hadamard matrix into the points of line
+(b, u) of the net, so every column has exactly q nonzero entries and all
 verification reduces to integer inner products: q * identity inside one
 basis, plus or minus 1 across two bases.  A basis is placed with one
-fancy-index assignment of the sign matrix along the support rows of all q
-net vectors of its label.
+fancy-index assignment of the sign matrix along the points of all q lines
+of its label, read as the stable argsort of the family's line labels.
 
 `dictionaries.gram_check` certifies that structure from the support
-incidence, reading each line at the columns written here, and any other
-matrix from `gram_strips`, the one exact block Gram routine, scanning
-each strip for its failing entries; `designs.verify_net` reads the net's
-inner products from it, one family at a time.  The strips are float32
+incidence, reading each line's points with the same argsort, and any
+other matrix from `gram_strips`, the one exact block Gram routine,
+scanning each strip for its failing entries.  The strips are float32
 BLAS products, exact while every Gram entry and partial sum stays below
 2^24 in magnitude; the bound rows * max|entry|^2 is checked on the actual
 matrix before each pass, int64 is used when it fails, and a bound past
@@ -33,21 +32,21 @@ from .designs import INFINITY, Label, block_labels
 def build_basis(net: np.ndarray, hs: np.ndarray, b: Label) -> np.ndarray:
     """The q^2 x q^2 scaled basis (scale_sq q) for label b of the net from
     `designs.build_net`: column u*q + v is column v of the sign matrix hs
-    embedded along net vector (b, u).  ValueError unless each net vector of
-    the family has q ones."""
-    q = net.shape[1]
+    embedded along line (b, u).  ValueError unless each line of the family
+    holds q points."""
+    q = len(net) - 1
     if len(hs) != q:
         raise ValueError(f"sign matrix order {len(hs)} does not match net order {q}")
     if b not in block_labels(q):
         raise ValueError(f"unknown block label {b!r}")
     family = net[q if b == INFINITY else b]
-    ones = np.count_nonzero(family, axis=1)
-    if (ones != q).any():
-        u = int(np.flatnonzero(ones != q)[0])
-        raise ValueError(f"net vector ({b}, {u}) has {int(ones[u])} ones, want {q}")
-    # rows[u, k] is the k-th support row of net vector u, which takes row k
-    # of hs into columns u*q .. u*q + q - 1
-    rows = np.nonzero(family)[1].reshape(q, q, 1)
+    points = (family == np.arange(q)[:, None]).sum(axis=1)
+    if (points != q).any():
+        u = int(np.flatnonzero(points != q)[0])
+        raise ValueError(f"line ({b}, {u}) has {int(points[u])} points, want {q}")
+    # rows[u, k] is the k-th point of line u, which takes row k of hs into
+    # columns u*q .. u*q + q - 1
+    rows = np.argsort(family, kind="stable").reshape(q, q, 1)
     cols = np.arange(q * q).reshape(q, 1, q)
     m = np.zeros((q * q, q * q), dtype=np.int8)
     m[rows, cols] = hs

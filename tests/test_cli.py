@@ -701,36 +701,32 @@ def test_one_input_file_of_each_kind(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("argv", "dictionary_passes", "net_passes"),
+    ("argv", "q"),
     [
         # the shipped matrices are decided from their line incidence and
-        # never take the dense strips; only the construction's net is checked
-        (["construct", "--family", "thm1", "--q", "16"], 0, 1),
-        (["verify", "FILES"], 0, 1),
-        (["verify", "--family", "thm1", "--q", "16"], 0, 1),
-        (["spark", "--family", "thm2", "--q", "2"], 0, 0),
-        (["export", "--family", "thm2", "--q", "4", "--format", "json"], 0, 0),
+        # never take the dense strips; the net's squares are built once
+        (["construct", "--family", "thm1", "--q", "16"], 16),
+        (["verify", "FILES"], 4),
+        (["verify", "--family", "thm1", "--q", "16"], 16),
+        (["spark", "--family", "thm2", "--q", "2"], 4),
+        (["export", "--family", "thm2", "--q", "4", "--format", "json"], 16),
     ],
     ids=["construct", "verify-files", "verify-flags", "spark-flags", "export"],
 )
-def test_each_command_builds_its_family_once(
-    tmp_path, monkeypatch, argv, dictionary_passes, net_passes
-):
+def test_each_command_builds_its_family_once(tmp_path, monkeypatch, argv, q):
+    """One construction per command, whose field of order q gives the q
+    Latin squares of the net, each built once, and no Gram strip."""
     if argv == ["verify", "FILES"]:
         main(["construct", "--family", "thm2", "--q", "2", "--out-dir", str(tmp_path)])
         argv = ["verify", str(tmp_path / "dictionary_thm2_q2.csv"),
                 str(tmp_path / "vector_thm2_q2.csv")]
-    names = ("construct", "build_net", "permuted_hadamard", "gram_strips")
-    calls = dict.fromkeys(names + ("net gram_strips",), 0)
+    names = ("construct", "build_net", "latin_square", "permuted_hadamard", "gram_strips")
+    calls = dict.fromkeys(names, 0)
     modules = (cli, designs, dictionaries, hadamard, mub)
     for name in names:
         fn = next(getattr(m, name) for m in modules if hasattr(m, name))
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
-            if _name == "gram_strips":
-                # a dictionary's blocks are square; the net's q^2 x q are not
-                matrix, width = args
-                _name = "gram_strips" if width == len(matrix) else "net gram_strips"
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
@@ -741,9 +737,8 @@ def test_each_command_builds_its_family_once(
     if argv[0] != "verify":
         argv = argv + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 0
-    assert calls == {"construct": 1, "build_net": 1, "permuted_hadamard": 1,
-                     "gram_strips": dictionary_passes,
-                     "net gram_strips": net_passes}
+    assert calls == {"construct": 1, "build_net": 1, "latin_square": q,
+                     "permuted_hadamard": 1, "gram_strips": 0}
 
 
 def test_numpy_integer_support_exports_like_plain_ints(tmp_path):

@@ -1,5 +1,6 @@
-"""Latin squares, the collision table, and incidence nets, checked against
-the published small cases and exhaustively for every supported order."""
+"""Latin squares, the collision table, and the incidence net's line labels,
+checked against the published small cases and exhaustively for every
+supported order."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from spark_forge import (
     verify_net,
 )
 from spark_forge.designs import orthogonal
-from spark_forge.mub import gram_strips
 from spark_forge.report import CheckReport
 
 
@@ -97,25 +97,22 @@ def test_collision_examples(gf2, gf4):
 
 def test_net_vectors_published(gf2):
     net = build_net(gf2)  # family 2 is the infinity label
-    assert np.array_equal(net[0, 0], [1, 0, 1, 0])
-    assert np.array_equal(net[0, 1], [0, 1, 0, 1])
-    assert np.array_equal(net[1, 0], [1, 0, 0, 1])
-    assert np.array_equal(net[1, 1], [0, 1, 1, 0])
-    assert np.array_equal(net[2, 0], [1, 1, 0, 0])
-    assert np.array_equal(net[2, 1], [0, 0, 1, 1])
+    assert net.tolist() == [[0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]]
     assert block_labels(2) == (0, 1, INFINITY)
 
 
 def test_net_cross_family_meets_once(gf2):
     net = build_net(gf2)
-    assert int(net[0, 0] @ net[2, 0]) == 1
+    assert int(((net[0] == 0) & (net[2] == 0)).sum()) == 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_net_conditions(m):
     ctx = FieldContext(m)
+    q = ctx.q
     net = build_net(ctx)
-    assert (net.sum(axis=2) == ctx.q).all()  # q ones per vector
+    # every family puts q points on each of its q lines
+    assert (np.sort(net, axis=1) == np.arange(q * q) // q).all()
     rep = verify_net(net)
     assert rep.passed, rep.summary()
 
@@ -123,7 +120,7 @@ def test_net_conditions(m):
 def test_net_extension_order(gf2):
     # the machinery also runs over extension fields
     net = build_net(gf2.extension())
-    assert net.shape == (5, 4, 16)
+    assert net.shape == (5, 16)
     assert verify_net(net).passed
 
 
@@ -134,123 +131,125 @@ def test_net_bad_label(gf2):
 
 
 def test_verify_net_reports_a_flipped_bit(gf2):
+    """The label form of two flipped bits: point 0 moved from line (0, 0)
+    to line (0, 1), so line (0, 0) keeps one point and misses line (1, 0)
+    and line (inf, 0)."""
     net = build_net(gf2)
-    net[0, 0, 0] = 0
-    net[0, 0, 1] = 1
+    net[0, 0] = 1
     rep = verify_net(net)
-    assert not rep.passed
-    assert rep.failures
+    assert rep.failures == [
+        "lines (0, 0) and (1, 0) meet 0 times, want 1",
+        "lines (0, 0) and (inf, 0) meet 0 times, want 1",
+    ]
 
 
 def test_verify_net_exact_report_on_a_tampered_vector(gf4):
+    # point 6, entry (1, 2) of square 1, moved from line (1, 3) to line
+    # (1, 2), which then meets column 2, line (0, 2), at points 2 and 6
     net = build_net(gf4)
-    net[1, 2] = 0
-    net[1, 2, 0] = 1
+    assert net[1, 6] == 3
+    net[1, 6] = 2
     rep = verify_net(net)
     assert rep.checks == 1 + 20 * 19 // 2
     assert rep.failures == [
-        "vector 6 has 1 ones, want 4",
-        "<m[0,1], m[1,2]> = 0, want 1",
-        "<m[0,2], m[1,2]> = 0, want 1",
-        "<m[0,3], m[1,2]> = 0, want 1",
-        "<m[1,0], m[1,2]> = 1, want 0",
-        "<m[1,2], m[2,1]> = 0, want 1",
-        "<m[1,2], m[2,2]> = 0, want 1",
-        "<m[1,2], m[2,3]> = 0, want 1",
-        "<m[1,2], m[3,1]> = 0, want 1",
-        "<m[1,2], m[3,2]> = 0, want 1",
-        "<m[1,2], m[3,3]> = 0, want 1",
-        "<m[1,2], m[inf,1]> = 0, want 1",
-        "<m[1,2], m[inf,2]> = 0, want 1",
-        "<m[1,2], m[inf,3]> = 0, want 1",
+        "lines (0, 2) and (1, 2) meet 2 times, want 1",
+        "lines (1, 2) and (2, 0) meet 2 times, want 1",
+        "lines (1, 2) and (3, 1) meet 2 times, want 1",
+        "lines (1, 2) and (inf, 1) meet 2 times, want 1",
     ]
 
 
 def test_verify_net_keeps_pair_order_past_the_failure_cap(gf8):
+    # the eight square families all relabelled as square 1: 28 equal pairs
     net = build_net(gf8)
-    net[2, 5] = 0
-    net[2, 5, 0] = 1
+    net[:8] = net[1]
     rep = verify_net(net)
     assert rep.checks == 1 + 72 * 71 // 2
     assert rep.summary() == (
-        "FAIL net-incidence: vector 21 has 1 ones, want 8 (+38 more)"
+        "FAIL net-incidence: lines (0, 0) and (1, 0) meet 8 times, want 1 (+8 more)"
     )
-    assert rep.failures[14:] == [
-        "<m[1,7], m[2,5]> = 0, want 1",
-        "<m[2,0], m[2,5]> = 1, want 0",
-        "<m[2,5], m[3,1]> = 0, want 1",
-        "<m[2,5], m[3,2]> = 0, want 1",
-        "<m[2,5], m[3,3]> = 0, want 1",
-        "<m[2,5], m[3,4]> = 0, want 1",
+    assert rep.failures[18:] == [
+        "lines (3, 0) and (4, 0) meet 8 times, want 1",
+        "lines (3, 0) and (5, 0) meet 8 times, want 1",
     ]
 
 
-def _int64_verify_net(net):
-    """The whole-matrix int64 net check: one n x n Gram product, scanned
-    over its upper triangle row by row."""
-    rep = CheckReport("net-incidence")
-    q = net.shape[1]
-    flat = net.reshape((q + 1) * q, q * q).astype(np.int64)
-    ones = flat.sum(axis=1)
-    rep.count()
-    if (ones != q).any():
-        first = int(np.flatnonzero(ones != q)[0])
-        rep.fail(f"vector {first} has {int(ones[first])} ones, want {q}")
-    gram = flat @ flat.T
-    n = (q + 1) * q
-    family = np.arange(n) // q
-    want = (family[:, None] != family[None, :]).astype(np.int64)
-    labels = block_labels(q)
-    rep.count(n * (n - 1) // 2)
-    for a, b in zip(*np.nonzero(np.triu(gram != want, k=1))):
-        ba, ja = divmod(int(a), q)
-        bb, jb = divmod(int(b), q)
-        rep.fail(
-            f"<m[{labels[ba]},{ja}], m[{labels[bb]},{jb}]> = {int(gram[a, b])}, "
-            f"want {int(want[a, b])}"
+def test_verify_net_fails_labels_outside_the_lines_once(gf4):
+    """A label past the lines, a negative one or a wrong shape fails the
+    one range check, and no pair is tested."""
+    net = build_net(gf4)
+    for bad in (np.where(net == 3, 4, net), net - 1, net[:, :-1], net[:-1],
+                np.zeros((0, 0), dtype=np.int32), net.ravel()):
+        rep = verify_net(bad)
+        assert (rep.checks, rep.failures) == (
+            1, ["labels are not lines 0..q-1 of q^2 points"]
         )
+
+
+def _bincount_verify_net(net):
+    """The net check one family pair at a time: a bincount of the pairs of
+    line labels of the two families, scanned for the first line pair that
+    does not meet once."""
+    rep = CheckReport("net-incidence")
+    q = len(net) - 1 if net.ndim == 2 else 0
+    rep.count()
+    lines = set(range(q))
+    if q < 1 or net.shape != (q + 1, q * q) or not set(net.ravel().tolist()) <= lines:
+        rep.fail("labels are not lines 0..q-1 of q^2 points")
+        return rep
+    n = (q + 1) * q
+    rep.count(n * (n - 1) // 2)
+    labels = block_labels(q)
+    for a in range(q + 1):
+        for b in range(a + 1, q + 1):
+            pairs = net[a].astype(np.int64) * q + net[b]
+            meets = np.bincount(pairs, minlength=q * q).reshape(q, q)
+            if (meets != 1).any():
+                ja, jb = np.argwhere(meets != 1)[0]
+                rep.fail(
+                    f"lines ({labels[a]}, {ja}) and ({labels[b]}, {jb}) meet "
+                    f"{int(meets[ja, jb])} times, want 1"
+                )
     return rep
 
 
 def _tampered_nets():
+    """(name, net, whether it is a net) for each order, a quadratic
+    extension, and tampered copies of each."""
     rng = np.random.default_rng(15)
-    for m in (1, 2, 3):
-        net = build_net(FieldContext(m))
-        q = net.shape[1]
-        yield net
-        moved = net.copy()  # one incidence moved within a vector
-        b, j = int(rng.integers(q + 1)), int(rng.integers(q))
-        on = np.flatnonzero(moved[b, j])[0]
-        moved[b, j, on] = 0
-        moved[b, j, (on + 1) % (q * q)] = 1
-        yield moved
-        scrambled = net.copy()  # random bits flipped anywhere
-        scrambled.reshape(-1)[rng.choice(net.size, 2, replace=False)] ^= 1
-        yield scrambled
-        yield np.zeros_like(net)
-    ext = build_net(FieldContext(2).extension())
-    yield ext
-    ext = ext.copy()
-    ext[4, 3] = ext[0, 3]  # a family-4 vector replaced by a family-0 one
-    yield ext
-    # a generic array past float32's exact range: 289 * 255^2 >= 2^24
-    generic = (rng.random((18, 17, 289)) < 1 / 17).astype(np.uint8)
-    generic[0, 0, np.flatnonzero(generic[0, 0])[0]] = 255
-    yield generic
+    for ctx in [FieldContext(m) for m in (1, 2, 3)] + [FieldContext(2).extension()]:
+        net = build_net(ctx)
+        q = ctx.q
+        yield "net", net, True
+        b, p = int(rng.integers(q + 1)), int(rng.integers(q * q))
+        moved = net.copy()  # a point moved to another line of its family
+        moved[b, p] = (moved[b, p] + rng.integers(1, q)) % q
+        yield "moved", moved, False
+        overwritten = net.copy()  # a family overwritten by another one
+        overwritten[b] = net[(b + 1 + rng.integers(q)) % (q + 1)]
+        yield "overwritten", overwritten, False
+        relabelled = net.copy()  # one family's lines renamed: still a net
+        relabelled[b] = rng.permutation(q)[net[b]]
+        yield "relabelled", relabelled, True
+        beyond = net.copy()  # a point on line q, which no family has
+        beyond[b, p] = q
+        yield "label-q", beyond, False
+        yield "short", net[:, :-1], False
+        yield "tensor", _looped_build_net(ctx), False
 
 
-def test_verify_net_matches_the_int64_oracle():
-    nets = list(_tampered_nets())
-    generic = nets[-1]
-    assert next(gram_strips(generic.reshape(-1, 289).T, 17)).dtype == np.int64
-    assert not verify_net(nets[1]).passed and verify_net(nets[0]).passed
-    for net in nets:
-        got, want = verify_net(net), _int64_verify_net(net)
+def test_verify_net_matches_the_bincount_oracle():
+    for name, net, is_net in _tampered_nets():
+        got, want = verify_net(net), _bincount_verify_net(net)
+        assert got.passed == is_net, name
         assert (got.checks, got.failures, got.summary()) == (
             want.checks,
             want.failures,
             want.summary(),
-        )
+        ), name
+        # the label dtype does not change the report, uint64 included
+        for dtype in (np.uint8, np.uint64, np.int64):
+            assert verify_net(net.astype(dtype)).failures == got.failures, (name, dtype)
 
 
 # verify_mols checks all pairs of squares in a few array operations; this
@@ -366,6 +365,9 @@ def _looped_build_net(ctx):
                          + [FieldContext(m).extension() for m in (1, 2)],
                          ids=["gf2", "gf4", "gf8", "gf16", "gf4-ext", "gf16-ext"])
 def test_build_net_matches_the_looped_oracle(ctx):
-    net = build_net(ctx)
-    assert net.dtype == np.uint8
-    assert np.array_equal(net, _looped_build_net(ctx))
+    """build_net's labels are the lines of the 0/1 incidence vectors placed
+    one at a time, each point on one line of each family."""
+    net, vectors = build_net(ctx), _looped_build_net(ctx)
+    assert net.dtype == np.int32
+    assert (vectors.sum(axis=1) == 1).all()
+    assert np.array_equal(net, vectors.argmax(axis=1))

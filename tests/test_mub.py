@@ -1,4 +1,4 @@
-"""Scaled bases: sign columns spread along net vectors, the published
+"""Scaled bases: sign columns spread along the net's lines, the published
 order-4 family, and exact unbiasedness checks."""
 
 from fractions import Fraction
@@ -32,7 +32,7 @@ def q2_parts(gf2):
 
 
 def test_embed_published_columns(q2_parts):
-    # column u*q + v of basis b is column v of hs spread along net vector (b, u)
+    # column u*q + v of basis b is column v of hs spread along line (b, u)
     net, hs = q2_parts
     assert np.array_equal(build_basis(net, hs, INFINITY)[:, 1], [1, -1, 0, 0])
     assert np.array_equal(build_basis(net, hs, 1)[:, 2], [0, 1, 1, 0])
@@ -45,7 +45,7 @@ def test_embed_all_ones_reproduces_incidence_vector(q2_parts):
     for i, b in enumerate(block_labels(2)):
         m = build_basis(net, hs, b)
         for j in range(2):
-            assert np.array_equal(m[:, j * 2], net[i, j])
+            assert np.array_equal(m[:, j * 2], net[i] == j)
 
 
 def test_published_bases_q2(q2_parts):
@@ -87,7 +87,7 @@ def test_column_support_follows_incidence_vector(gf4):
         for u in range(4):
             for v in range(4):
                 col = m[:, u * 4 + v]
-                assert np.array_equal((col != 0).astype(np.uint8), net[i, u])
+                assert np.array_equal(col != 0, net[i] == u)
 
 
 def _bases(ctx):
@@ -237,11 +237,10 @@ def _dictionary(matrix):
 
 
 # Every exact kernel, fed one matrix whose column count its block width
-# divides.  verify_net reads the entries tiled into a q = 2 net.
+# divides.
 GRAM_KERNELS = {
     "gram_strips": lambda m: next(gram_strips(m, m.shape[0])),
     "gram_check": lambda m: gram_check(_dictionary(m)),
-    "verify_net": lambda m: verify_net(np.resize(m, (3, 2, 4))),
 }
 OTHER_KERNELS = {
     **{f"spark_bruteforce-k{k}": (lambda m, k=k: spark_bruteforce(_dictionary(m), k))
@@ -284,6 +283,22 @@ def test_every_exact_kernel_refuses_every_bad_input(kernel, matrix):
     such as gram_check's zero coherence, stands in for it."""
     with pytest.raises(ValueError, match="int16|int64"):
         kernel(matrix)
+
+
+@pytest.mark.parametrize("label", list(BAD_INPUTS))
+def test_verify_net_takes_only_integer_labels(label):
+    """verify_net counts label pairs and forms no product, so of the exact
+    kernels' rule it keeps the dtype: float and object labels are refused,
+    not truncated, even a whole float net; integer labels outside the lines
+    fail its one range check."""
+    net = np.resize(BAD_INPUTS[label], (3, 4))
+    if net.dtype.kind in "iu":
+        assert verify_net(net).failures == ["labels are not lines 0..q-1 of q^2 points"]
+    else:
+        with pytest.raises(ValueError, match="integer line labels"):
+            verify_net(net)
+    with pytest.raises(ValueError, match="integer line labels"):
+        verify_net(build_net(FieldContext(1)).astype(np.float64))
 
 
 # gram_check's dense pass scans the float32 strips of mub.gram_strips; this
@@ -553,15 +568,15 @@ def test_shipped_families_are_decided_by_incidence(family, q):
 
 
 # build_basis places each block with one fancy-index assignment; the oracle
-# places each net vector's q columns with np.ix_, one vector at a time.
+# places each line's q columns with np.ix_, one line at a time.
 
 
 def _ix_build_basis(net, hs, b):
-    q = net.shape[1]
+    q = len(net) - 1
     family = net[q if b == INFINITY else b]
     m = np.zeros((q * q, q * q), dtype=np.int8)
     for u in range(q):
-        rows = np.flatnonzero(family[u])
+        rows = np.flatnonzero(family == u)
         m[np.ix_(rows, np.arange(u * q, (u + 1) * q))] = hs
     return m
 
@@ -578,8 +593,14 @@ def test_build_basis_matches_the_ix_oracle(family, q):
 
 
 def test_build_basis_refuses_a_net_vector_without_q_ones(gf4):
-    net = build_net(gf4)
-    net[2, 1, np.flatnonzero(net[2, 1])[0]] = 0
-    with pytest.raises(ValueError, match=r"net vector \(2, 1\) has 3 ones, want 4"):
-        build_basis(net, permuted_hadamard(2), 2)
-    assert build_basis(net, permuted_hadamard(2), 1).shape == (16, 16)
+    """A line of family 2 without q points: one point moved from line 1 to
+    line 0, or onto line 4, which no family has.  Other families build."""
+    net, hs = build_net(gf4), permuted_hadamard(2)
+    point = np.flatnonzero(net[2] == 1)[0]
+    for label, message in ((0, r"line \(2, 0\) has 5 points, want 4"),
+                           (4, r"line \(2, 1\) has 3 points, want 4")):
+        moved = net.copy()
+        moved[2, point] = label
+        with pytest.raises(ValueError, match=message):
+            build_basis(moved, hs, 2)
+        assert build_basis(moved, hs, 1).shape == (16, 16)
