@@ -15,11 +15,12 @@ D = M / sqrt(scale_sq), coherence is a Fraction, and the spark search
 finds zero and parallel columns directly and, from size 3 on, expands
 every node by one fraction-free (division-exact) integer update, settling
 the last two columns of each subset by comparing gcd-normalised integer
-columns.  It starts subsets only at one column per orbit of the signed
-column permutations that XOR translations and Sylvester sign modulations
-of the rows induce, one search task per such representative; each
-symmetry is checked exactly on the matrix at run time, and the witness is
-still the lex-least dependent subset.  A size runs in process until its
+columns, among only those that could close a stopping set.  It starts
+subsets only at one column per orbit of the signed column permutations
+that XOR translations and Sylvester sign modulations of the rows induce,
+one search task per such representative; each symmetry is checked
+exactly on the matrix at run time, and the witness is still the lex-least
+dependent subset.  A size runs in process until its
 count of such subsets reaches `_POOL_MIN_SUBSETS`; from the first that
 does, a pool of worker processes, no larger than the usable CPUs, takes
 the tasks.
@@ -333,13 +334,37 @@ def _dense_gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # update reduces the columns after each child t by column t, so every
 # reduced entry is an exact integer minor of the matrix.  At depth k-3 it
 # covers a batch of siblings: columns at or before a child's own t are
-# masked out, and one sort over the batch (keys compared only within a
-# child) yields the lex-least (t, u, w).  Above that depth it covers one
-# child, whose subtree is searched before the next sibling is reduced, so
-# an early hit pays for no later sibling; a child whose reduced column is
-# zero closes a smaller dependent set and is skipped, as its pivot would
-# divide the next depth.  The first hit at the smallest size is the
+# masked out, and so are columns that cannot close a stopping set with it
+# (below); only the (child, column) pairs kept are updated, and one sort
+# over them (keys compared only within a child) yields the lex-least
+# (t, u, w).  Above that depth it covers one child, whose subtree is
+# searched before the next sibling is reduced, so an early hit pays for no
+# later sibling; a child whose reduced column is zero closes a smaller
+# dependent set and is skipped, as its pivot would divide the next depth.  The first hit at the smallest size is the
 # (size-major, lexicographically least) witness.
+#
+# The pair test sees only columns that can close a stopping set.  Sizes
+# run in increasing order, so a dependent k-set S met at size k has no
+# dependent proper subset: its kernel vector is nonzero on every column of
+# S, so no row meets S exactly once, or that row's product would be one
+# nonzero term.  S is then a stopping set of the row-column support graph,
+# the object that governs the erasure decoding of LDPC codes (Di,
+# Proietti, Telatar, Richardson and Urbanke, "Finite-length analysis of
+# low-density parity-check codes on the binary erasure channel", IEEE
+# Trans. IT 48, 2002).  At depth k-3 let P be the prefix and the child t,
+# U the rows P meets once, Z the rows P misses, and W the largest column
+# weight of the table.  A pair (u, w) completing P covers U and meets Z in
+# the same rows, so |U| - |supp u & U| + |supp u & Z| <= |supp w| <= W,
+# and the same holds with u and w swapped: a column that fails this is
+# masked out before any arithmetic.  The test counts supports only, so it
+# holds for any integer matrix; its premise is the level order, which is
+# why `_search_reps` and `_descend` assume every proper subset
+# independent.  It drops no dependent set of the smallest size, so the
+# lex-least witness is kept for any worker count, and it composes with the
+# orbit rooting below, as a signed column symmetry maps stopping sets to
+# stopping sets.  The supports are padded row lists built once per
+# `_search_reps` call, and each node carries its prefix's count of columns
+# met per row; no BLAS product is involved.
 #
 # From size 3 on, subsets start only at symmetry orbit representatives.  A
 # signed row permutation T with T M = M P S, for a column permutation P and
@@ -377,7 +402,9 @@ def _dense_gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # short, and the witness does not depend on the worker count or on where
 # the pool starts.
 
-# int64 entries in one batched update; caps the search's memory per batch
+# caps one depth-(k-3) batch: the support rows its (child, column) mask
+# reads, children x columns x W, and the int64 entries of the kept columns
+# it updates (whole children, at least one); caps the search's memory
 _BATCH_ELEMENTS = 2**16
 
 # rooted subsets of a level from which it is searched in the worker pool
@@ -394,27 +421,22 @@ class BruteForceResult:
     budget: int
 
 
-def _first_parallel(cols, skip):
-    """Lex-least (b, u, w) with skip[b] <= u < w and columns cols[b, u] and
-    cols[b, w] nonzero and parallel, or None.
-
-    `cols` has shape (batch, columns, rows): cols[b] holds the columns of
-    one reduced matrix as rows."""
-    width, rows = cols.shape[1:]
-    gcd = np.gcd.reduce(cols, axis=2)
-    # masked and zero columns never pair
-    keep = (np.arange(width) >= skip[:, None]) & (gcd > 0)
-    b, u = np.nonzero(keep)  # ascending in (b, u)
+def _first_parallel(b, u, vecs):
+    """Lex-least (b[i], u[i], u[j]) over nonzero parallel rows vecs[i] and
+    vecs[j], i < j, with b[i] == b[j], or None.  The labels (b, u), one per
+    row, ascend; zero rows never pair."""
+    gcd = np.gcd.reduce(vecs, axis=1)
+    keep = gcd > 0
+    b, u, gcd = b[keep], u[keep], gcd[keep]
     if b.size < 2:
         return None
-    canon = cols[keep]
-    gcd = gcd[keep]
+    canon = vecs[keep]
     lead = canon[np.arange(b.size), (canon != 0).argmax(axis=1)]
     canon *= np.where(lead < 0, -1, 1)[:, None]
     big = gcd > 1
     if big.any():
         canon[big] //= gcd[big, None]
-    keys = canon.view(np.dtype((np.void, rows * canon.itemsize))).ravel()
+    keys = canon.view(np.dtype((np.void, canon.shape[1] * canon.itemsize))).ravel()
     order = np.argsort(keys, kind="stable")  # equal keys stay in (b, u) order
     ranked = canon[order]
     first, second = order[:-1], order[1:]
@@ -432,15 +454,19 @@ def _past(bound, first):
     return bound is not None and first > bound.value
 
 
-def _descend(cols, ids, prev_piv, prefix, k, bound):
+def _descend(cols, ids, supp, count, prev_piv, prefix, k, bound):
     """Lex-least completion of `prefix` to a dependent k-set (k >= 3) by the
-    reduced columns `cols` (one per row, matrix indices `ids`); at the root,
-    with `prefix` empty, the first column is ids[0] alone.  Stops once the
-    subset's first column passes `bound`."""
+    reduced columns `cols` (one per row, matrix indices `ids`), or None; at
+    the root, with `prefix` empty, the first column is ids[0] alone.
+    supp[j] lists the matrix rows where column ids[j] is nonzero, padded
+    with the sentinel row len(count) - 1, and count[r] is the number of
+    prefix columns nonzero in row r (2 at the sentinel).  Proper subsets are
+    assumed independent: that premise is what lets the depth-(k-3) pair
+    test see only the columns that can close a stopping set.  Stops once
+    the subset's first column passes `bound`."""
     m = len(cols)
     depth = len(prefix)
     first = prefix[0] if prefix else ids[0]
-    last = depth == k - 3
     lead = (cols != 0).argmax(axis=1)
     # a zero column t has pivot 0: its update is zero, masked or skipped
     piv = cols[np.arange(m), lead]
@@ -449,47 +475,75 @@ def _descend(cols, ids, prev_piv, prefix, k, bound):
     while t0 < t_end:
         if _past(bound, first):
             return None
-        if not last and piv[t0] == 0:
+        if depth < k - 3:
+            if piv[t0] != 0:  # else a smaller dependent set, found earlier
+                # fraction-free update of every column after t0 by column
+                # t0: entries stay (depth+2)-minors of the matrix
+                rest = cols[t0 + 1 :]
+                upd = piv[t0] * rest - np.outer(rest[:, lead[t0]], cols[t0])
+                if prev_piv != 1:
+                    upd //= prev_piv
+                child = count.copy()
+                child[supp[t0]] += 1
+                res = _descend(upd, ids[t0 + 1 :], supp[t0 + 1 :], child,
+                               int(piv[t0]), prefix + (int(ids[t0]),), k, bound)
+                if res is not None:
+                    return res
             t0 += 1
-            continue  # a smaller dependent set; found at an earlier level
-        rest = cols[t0 + 1 :]
-        t1 = t0 + 1  # one child above depth k-3, a batch at it
-        if last:
-            t1 = min(t_end, t0 + max(1, _BATCH_ELEMENTS // rest.size))
-        ts = np.arange(t0, t1)
-        # fraction-free update of every column after t0 by each child t:
-        # entries stay (depth+2)-minors of the matrix
-        upd = piv[ts, None, None] * rest
-        upd -= rest[:, lead[ts]].T[:, :, None] * cols[ts, None, :]
+            continue
+        # a batch of children t, each with P = prefix + (t,): child t keeps
+        # the columns u after t with |U| - |u & U| + |u & Z| <= W
+        later = supp[t0 + 1 :]
+        width = supp.shape[1]  # W
+        t1 = min(t_end, t0 + max(1, _BATCH_ELEMENTS // (len(later) * width)))
+        met = np.repeat(count[None], t1 - t0, axis=0)
+        met[np.arange(t1 - t0)[:, None], supp[t0:t1]] += 1
+        once, missed = met == 1, met == 0  # U and Z of each child
+        gain = missed.view(np.int8) - once.view(np.int8)
+        score = once.sum(axis=1)[:, None] + gain[:, later].sum(axis=2)
+        keep = score <= width
+        keep &= np.arange(len(later)) >= np.arange(t1 - t0)[:, None]
+        b, j = np.nonzero(keep)  # ascending in (child, column)
+        if b.size * cols.shape[1] > _BATCH_ELEMENTS:  # update whole children
+            t1 = t0 + max(1, int(b[_BATCH_ELEMENTS // cols.shape[1]]))
+            inside = b < t1 - t0
+            b, j = b[inside], j[inside]
+        # fraction-free update of the kept columns u by each child t
+        t, u = t0 + b, t0 + 1 + j
+        vecs = piv[t, None] * cols[u] - cols[u, lead[t]][:, None] * cols[t]
         if prev_piv != 1:
-            upd //= prev_piv
-        if last:
-            hit = _first_parallel(upd, ts - t0)  # child t keeps columns > t
-            if hit is not None:
-                if _past(bound, first):
-                    return None
-                t, u, w = t0 + hit[0], t0 + 1 + hit[1], t0 + 1 + hit[2]
-                return prefix + (int(ids[t]), int(ids[u]), int(ids[w]))
-        else:
-            # a copy, not a view of upd: fewer page faults in pool workers
-            child = prefix + (int(ids[t0]),)
-            res = _descend(upd[0].copy(), ids[t1:], int(piv[t0]), child, k, bound)
-            if res is not None:
-                return res
+            vecs //= prev_piv
+        hit = _first_parallel(b, j, vecs)
+        if hit is not None:
+            if _past(bound, first):
+                return None
+            t, u, w = t0 + hit[0], t0 + 1 + hit[1], t0 + 1 + hit[2]
+            return prefix + (int(ids[t]), int(ids[u]), int(ids[w]))
         t0 = t1
     return None
 
 
 def _search_reps(cols, k, reps, orbit, bound=None):
     """Lex-least dependent subset of exact size k >= 3 whose first column is
-    one of the ascending representatives `reps` of `orbit`, or None; proper
-    subsets are assumed independent.  `cols` is the int16 column table, and
+    one of the ascending representatives `reps` of `orbit`, or None.  Proper
+    subsets are assumed independent, as the level order ensures, and the
+    pair test relies on it: it sees only the columns that can close a
+    stopping set with the rest.  `cols` is the int16 column table, and
     a subset that starts at r keeps to the columns whose orbit's least index
     is at least r, widened to int64.  A hit lowers the shared `bound`, if
     any, to its first column."""
+    rows = cols.shape[1]
+    nonzero = cols != 0
+    # each column's nonzero rows, padded to the largest column weight (at
+    # least 1) with the sentinel row `rows`, which counts as met twice
+    supp = np.sort(np.where(nonzero, np.arange(rows), rows), axis=1)
+    supp = supp[:, : max(1, nonzero.sum(axis=1).max())]
+    count = np.zeros(rows + 1, dtype=np.int64)
+    count[rows] = 2
     for r in reps:
         ids = np.flatnonzero(orbit >= r)
-        res = _descend(cols[ids].astype(np.int64), ids, 1, (), k, bound)
+        res = _descend(cols[ids].astype(np.int64), ids, supp[ids], count, 1, (),
+                       k, bound)
         if res is not None:
             if bound is not None:
                 with bound.get_lock():
@@ -652,11 +706,7 @@ def _check_minor_bound(matrix, k):
     deepest minors the elimination (and the witness re-check) forms have
     order j = min(k - 1, rows); Hadamard's bound caps them at a^j * j^(j/2)
     for entries of magnitude at most a, and an update subtracts two products
-    of such minors, so 2 * bound^2 must stay below 2^63.  The batched update
-    of a depth-(k-3) node also computes the columns at or before each
-    child's own first column, which are then masked out; each such entry is
-    still the difference of two products of (depth+1)-minors, so the same
-    bound covers it.
+    of such minors, so 2 * bound^2 must stay below 2^63.
     """
     a = integer_peak(matrix)
     if a >= 2**15:
@@ -714,7 +764,7 @@ def spark_bruteforce(
     zero = np.flatnonzero(~cols.any(axis=1))
     pair = None
     if k_checked >= 2 and zero.size == 0:
-        pair = _first_parallel(cols[None], np.zeros(1, dtype=np.int64))
+        pair = _first_parallel(np.zeros(n, dtype=np.int64), np.arange(n), cols)
     found_size = witness = None
     if zero.size:  # k_checked >= 1 whenever there is a column
         found_size, witness = 1, (int(zero[0]),)

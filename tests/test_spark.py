@@ -368,8 +368,9 @@ def test_search_range_stops_past_the_shared_bound(monkeypatch):
 def _pair(reduced):
     """Lex-least (t, u), t < u, of nonzero parallel columns of `reduced`, as
     the size-2 test of `spark_bruteforce` finds it, or None."""
-    cols = np.ascontiguousarray(np.asarray(reduced).T)[None]
-    hit = dct._first_parallel(cols, np.zeros(1, dtype=np.int64))
+    cols = np.ascontiguousarray(np.asarray(reduced).T)
+    n = len(cols)
+    hit = dct._first_parallel(np.zeros(n, dtype=np.int64), np.arange(n), cols)
     return None if hit is None else hit[1:]
 
 
@@ -408,6 +409,8 @@ def test_bruteforce_pairs_columns_with_the_int8_minimum():
 
 
 def test_first_parallel_pairs_only_within_a_child():
+    """Rows labelled (child, column), as the depth-(k-3) batch passes them:
+    a child's masked columns are rows that are not passed at all."""
     col = np.array([1, -1, 2])
     cols = np.zeros((3, 4, 3), dtype=np.int64)
     cols[0, 1] = col  # child 0: one copy only
@@ -415,10 +418,17 @@ def test_first_parallel_pairs_only_within_a_child():
     cols[1, 2] = -3 * col
     cols[2, 1] = 2 * col  # child 2: the first pair of kept columns
     cols[2, 3] = col
-    skip = np.array([0, 1, 0])
-    assert dct._first_parallel(cols, skip) == (2, 1, 3)
-    assert dct._first_parallel(cols, np.array([0, 0, 0])) == (1, 0, 2)
-    assert dct._first_parallel(cols, np.array([4, 4, 2])) is None
+
+    def first(skip):
+        b, u = np.nonzero(np.arange(4) >= np.asarray(skip)[:, None])
+        return dct._first_parallel(b, u, cols[b, u])
+
+    assert first([0, 1, 0]) == (2, 1, 3)
+    assert first([0, 0, 0]) == (1, 0, 2)
+    assert first([4, 4, 2]) is None
+    # a pair of equal rows under different children never pairs
+    b, u = np.array([0, 1]), np.array([1, 1])
+    assert dct._first_parallel(b, u, np.array([col, col])) is None
 
 
 def _pair_by_minors(reduced):
@@ -434,15 +444,31 @@ def _pair_by_minors(reduced):
     return None
 
 
-def _per_child_search(reduced, ids, prev_piv, prefix, k, skipped=None):
+def _closes_stopping_set(supports, prefix, u):
+    """Whether column u could close a stopping set with the columns of
+    `prefix` and one more column of `supports` (one row set per matrix
+    column): that column would have to hold every row the prefix meets once
+    and u misses, and every row u meets that the prefix misses."""
+    meets = [r for j in prefix for r in supports[j]]
+    once = {r for r in meets if meets.count(r) == 1}
+    missed = supports[u] - set(meets)
+    return len(once - supports[u]) + len(missed) <= max(map(len, supports))
+
+
+def _per_child_search(reduced, ids, prev_piv, prefix, k, skipped=None, supports=None):
     """The search as one child at a time: fraction-free elimination of each
     nonzero next column, and the last two columns by `_pair_by_minors`.
     Zero columns skipped above depth k-3 are appended to `skipped` as
-    (prefix, column)."""
+    (prefix, column).  Given the matrix's `supports`, the last two columns
+    are only those that `_closes_stopping_set` keeps."""
     m = reduced.shape[1]
     if len(prefix) == k - 2:
-        pair = _pair_by_minors(reduced)
-        return None if pair is None else prefix + (ids[pair[0]], ids[pair[1]])
+        keep = [i for i in range(m)
+                if supports is None or _closes_stopping_set(supports, prefix, ids[i])]
+        pair = _pair_by_minors(reduced[:, keep])
+        if pair is None:
+            return None
+        return prefix + (ids[keep[pair[0]]], ids[keep[pair[1]]])
     for t in range(m):
         v = reduced[:, t]
         nz = np.flatnonzero(v)
@@ -454,7 +480,7 @@ def _per_child_search(reduced, ids, prev_piv, prefix, k, skipped=None):
         rest = reduced[:, t + 1 :]
         nxt = (piv * rest - np.outer(v, rest[nz[0]])) // prev_piv
         res = _per_child_search(
-            nxt, ids[t + 1 :], piv, prefix + (ids[t],), k, skipped
+            nxt, ids[t + 1 :], piv, prefix + (ids[t],), k, skipped, supports
         )
         if res is not None:
             return res
@@ -467,7 +493,9 @@ def test_batched_nodes_match_the_per_child_loop(monkeypatch):
     column is zero, and depth-(k-3) nodes duplicate columns on either side
     of a child's t.  Above depth k-3 a zero-pivot child must be skipped: its
     pivot would be the next depth's divisor.  Sizes up to 7 put up to four
-    depths above the batched one."""
+    depths above the batched one.  Such matrices are outside the premise of
+    the stopping-set cut, so the per-child loop applies it too, one column
+    at a time, from the matrix's own supports."""
     rng = np.random.default_rng(8)
     default = dct._BATCH_ELEMENTS
     inner_zero = 0
@@ -484,9 +512,10 @@ def test_batched_nodes_match_the_per_child_loop(monkeypatch):
         if rng.random() < 0.3:
             m[:, int(rng.integers(0, n))] = 0
         ids = tuple(range(n))
+        supports = [set(np.flatnonzero(m[:, j]).tolist()) for j in range(n)]
         for k in range(3, min(n, 7) + 1):
             skipped = []
-            want = _per_child_search(m, ids, 1, (), k, skipped)
+            want = _per_child_search(m, ids, 1, (), k, skipped, supports)
             inner_zero += bool(skipped)
             for cap in (1, 3, 2 * m.size, default):
                 monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
@@ -515,6 +544,86 @@ def test_batch_cap_does_not_change_the_result(monkeypatch):
             if i % 4 == 0:
                 assert spark_bruteforce(d, k_max, workers=2) == want, (i, cap)
         monkeypatch.setattr(dct, "_BATCH_ELEMENTS", default)
+
+
+def _sparse_planted(rng):
+    """Sparse {-1, 0, 1} matrix of 8-12 rows: columns of weight 1 to 3, and
+    one or two planted dependencies a + b, a + b - c or a + b - c + d of
+    columns with disjoint supports, so that circuits of sizes 3 to 5 exist
+    and the stopping-set cut fires often."""
+    rows = int(rng.integers(8, 13))
+    n = int(rng.integers(9, 14))
+    m = np.zeros((rows, n), dtype=np.int8)
+    for j in range(n):
+        w = int(rng.choice([1, 2, 3], p=[0.1, 0.45, 0.45]))
+        m[rng.choice(rows, size=w, replace=False), j] = rng.choice([-1, 1], size=w)
+    for _ in range(int(rng.integers(1, 3))):
+        size = int(rng.integers(3, 6))
+        dst, *parts = rng.choice(n, size=size, replace=False)
+        m[:, dst] = 0
+        blocks = np.array_split(rng.permutation(rows), size - 1)
+        for j, sign, block in zip(parts, (1, 1, -1, 1), blocks):
+            m[:, j] = 0
+            w = int(rng.integers(1, min(3, len(block)) + 1))
+            m[block[:w], j] = rng.choice([-1, 1], size=w)
+            m[:, dst] += sign * m[:, j]
+    return m
+
+
+def test_stopping_set_cut_against_oracle(monkeypatch):
+    """The search, whose depth-(k-3) pair test sees only columns that can
+    close a stopping set, against itertools and exact_rank: sparse planted
+    matrices, where the cut fires often, and the denser `_random_planted`
+    ones, where it seldom does.  Every case runs at 1 worker under batch
+    caps of 1 and 3 entries and the default, and at 2 workers in the pool
+    under one of them."""
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)  # 2 workers use the pool
+    rng = np.random.default_rng(24)
+    caps = (1, 3, dct._BATCH_ELEMENTS)
+    sizes = []
+    for trial in range(60):
+        m = _sparse_planted(rng) if trial % 3 else _random_planted(rng)
+        want = _oracle_search(m, 5)
+        d = _as_dictionary(m)
+        for cap in caps:
+            monkeypatch.setattr(dct, "_BATCH_ELEMENTS", cap)
+            res = spark_bruteforce(d, 5)
+            assert (res.found_size, res.witness) == want, (trial, cap, m)
+        monkeypatch.setattr(dct, "_BATCH_ELEMENTS", caps[trial % 3])
+        assert spark_bruteforce(d, 5, workers=2) == res, (trial, m)
+        sizes.append(want[0])
+    assert all(sizes.count(size) >= 5 for size in (3, 4, 5)), sizes
+
+
+def test_stopping_set_cut_fires(monkeypatch):
+    """thm1 q=4 at size 5, each depth-2 node one batch: of the (child,
+    column) pairs the position mask keeps, at most 15% reach the pair test
+    (11% do; 27% would with the missed-rows term dropped, all of them with
+    the once-met rows dropped), and the witness is still found."""
+    d = construct("thm1", 4).dictionary
+    cols = _table(d.matrix)
+    orbit = dct._column_orbits(cols)[1]
+    reps = np.flatnonzero(orbit == np.arange(d.n_cols)).tolist()
+    descend, first_parallel = dct._descend, dct._first_parallel
+    masked = tested = 0
+
+    def recording(cols, ids, supp, count, prev_piv, prefix, k, bound):
+        nonlocal masked
+        if len(prefix) == k - 3:  # child t keeps the m - 1 - t columns after it
+            m = len(cols)
+            masked += sum(m - 1 - t for t in range(m - 2))
+        return descend(cols, ids, supp, count, prev_piv, prefix, k, bound)
+
+    def counting(b, u, vecs):
+        nonlocal tested
+        tested += len(b)
+        return first_parallel(b, u, vecs)
+
+    monkeypatch.setattr(dct, "_BATCH_ELEMENTS", 2**40)
+    monkeypatch.setattr(dct, "_descend", recording)
+    monkeypatch.setattr(dct, "_first_parallel", counting)
+    assert dct._search_reps(cols, 5, reps, orbit) == (0, 16, 37, 53, 69)
+    assert masked > 30000 and tested <= 0.15 * masked, (tested, masked)
 
 
 def test_bruteforce_refuses_possible_int64_overflow(monkeypatch):
@@ -832,10 +941,10 @@ def test_each_representative_roots_its_own_search(monkeypatch):
     assert reps.size == 21 and set(range(512, 517)) <= set(reps.tolist())
     descend, roots = dct._descend, []
 
-    def recording(cols, ids, prev_piv, prefix, k, bound):
+    def recording(cols, ids, supp, count, prev_piv, prefix, k, bound):
         if not prefix:
             roots.append(ids)
-        return descend(cols, ids, prev_piv, prefix, k, bound)
+        return descend(cols, ids, supp, count, prev_piv, prefix, k, bound)
 
     monkeypatch.setattr(dct, "_descend", recording)
     res = spark_bruteforce(d, 3, workers=1)
