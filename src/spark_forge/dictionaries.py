@@ -340,8 +340,9 @@ def _dense_gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # (t, u, w).  Above that depth it covers one child, whose subtree is
 # searched before the next sibling is reduced, so an early hit pays for no
 # later sibling; a child whose reduced column is zero closes a smaller
-# dependent set and is skipped, as its pivot would divide the next depth.  The first hit at the smallest size is the
-# (size-major, lexicographically least) witness.
+# dependent set and is skipped, as its pivot would divide the next depth.
+# The first hit at the smallest size is the (size-major, lexicographically
+# least) witness.
 #
 # The pair test sees only columns that can close a stopping set.  Sizes
 # run in increasing order, so a dependent k-set S met at size k has no
@@ -362,9 +363,9 @@ def _dense_gram_check(dictionary: ScaledDictionary) -> GramCheck:
 # independent.  It drops no dependent set of the smallest size, so the
 # lex-least witness is kept for any worker count, and it composes with the
 # orbit rooting below, as a signed column symmetry maps stopping sets to
-# stopping sets.  The supports are padded row lists built once per
-# `_search_reps` call, and each node carries its prefix's count of columns
-# met per row; no BLAS product is involved.
+# stopping sets.  The supports are padded row lists, built once per level
+# in process and once per pool worker, and each node carries its prefix's
+# count of columns met per row; no BLAS product is involved.
 #
 # From size 3 on, subsets start only at symmetry orbit representatives.  A
 # signed row permutation T with T M = M P S, for a column permutation P and
@@ -523,7 +524,18 @@ def _descend(cols, ids, supp, count, prev_piv, prefix, k, bound):
     return None
 
 
-def _search_reps(cols, k, reps, orbit, bound=None):
+def _supports(cols):
+    """Each column's nonzero rows, ascending, padded to the largest column
+    weight (at least 1) with the sentinel row cols.shape[1], which the
+    search counts as met twice."""
+    nonzero = cols != 0
+    weight = nonzero.sum(axis=1)
+    supp = np.full((len(cols), max(1, weight.max())), cols.shape[1])
+    supp[np.arange(supp.shape[1]) < weight[:, None]] = np.nonzero(nonzero)[1]
+    return supp
+
+
+def _search_reps(cols, k, reps, orbit, bound=None, supp=None):
     """Lex-least dependent subset of exact size k >= 3 whose first column is
     one of the ascending representatives `reps` of `orbit`, or None.  Proper
     subsets are assumed independent, as the level order ensures, and the
@@ -531,15 +543,13 @@ def _search_reps(cols, k, reps, orbit, bound=None):
     stopping set with the rest.  `cols` is the int16 column table, and
     a subset that starts at r keeps to the columns whose orbit's least index
     is at least r, widened to int64.  A hit lowers the shared `bound`, if
-    any, to its first column."""
+    any, to its first column.  `supp` is `_supports(cols)`, built here when
+    not given."""
+    if supp is None:
+        supp = _supports(cols)
     rows = cols.shape[1]
-    nonzero = cols != 0
-    # each column's nonzero rows, padded to the largest column weight (at
-    # least 1) with the sentinel row `rows`, which counts as met twice
-    supp = np.sort(np.where(nonzero, np.arange(rows), rows), axis=1)
-    supp = supp[:, : max(1, nonzero.sum(axis=1).max())]
     count = np.zeros(rows + 1, dtype=np.int64)
-    count[rows] = 2
+    count[rows] = 2  # the sentinel row
     for r in reps:
         ids = np.flatnonzero(orbit >= r)
         res = _descend(cols[ids].astype(np.int64), ids, supp[ids], count, 1, (),
@@ -631,15 +641,18 @@ def _column_orbits(cols):
 _WORKER_COLS = None
 _WORKER_ORBIT = None
 _WORKER_BOUND = None
+_WORKER_SUPP = None
 
 
 def _init_worker(cols, orbit, bound):
-    global _WORKER_COLS, _WORKER_ORBIT, _WORKER_BOUND
+    global _WORKER_COLS, _WORKER_ORBIT, _WORKER_BOUND, _WORKER_SUPP
     _WORKER_COLS, _WORKER_ORBIT, _WORKER_BOUND = cols, orbit, bound
+    _WORKER_SUPP = _supports(cols)  # once per worker, not once per chunk
 
 
 def _worker_reps(k, reps):
-    return _search_reps(_WORKER_COLS, k, reps, _WORKER_ORBIT, _WORKER_BOUND)
+    return _search_reps(_WORKER_COLS, k, reps, _WORKER_ORBIT, _WORKER_BOUND,
+                        _WORKER_SUPP)
 
 
 def _rooted_subsets(orbit, reps, k):

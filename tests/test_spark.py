@@ -595,6 +595,23 @@ def test_stopping_set_cut_against_oracle(monkeypatch):
     assert all(sizes.count(size) >= 5 for size in (3, 4, 5)), sizes
 
 
+def test_supports_list_each_columns_rows_then_the_sentinel():
+    """Rows ascending, padded to the largest column weight with the row
+    count; a zero column is all sentinel, and a zero table keeps width 1."""
+    m = np.array([[0, 2, 0, -1], [0, 0, 0, 1], [0, -3, 0, 0], [0, 0, 5, 1]])
+    assert dct._supports(_table(m)).tolist() == [
+        [4, 4, 4], [0, 2, 4], [3, 4, 4], [0, 1, 3]]
+    assert dct._supports(_table(np.zeros((3, 2), dtype=np.int8))).tolist() == [[3], [3]]
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        m = _sparse_planted(rng)
+        supp = dct._supports(_table(m))
+        for j in range(m.shape[1]):
+            rows = np.flatnonzero(m[:, j])
+            assert supp[j, : rows.size].tolist() == rows.tolist()
+            assert (supp[j, rows.size :] == m.shape[0]).all()
+
+
 def test_stopping_set_cut_fires(monkeypatch):
     """thm1 q=4 at size 5, each depth-2 node one batch: of the (child,
     column) pairs the position mask keeps, at most 15% reach the pair test
@@ -993,7 +1010,7 @@ class _InProcessPool:
 def in_process_pool(monkeypatch):
     """Installs `_InProcessPool`; yields its list of pools made.  The worker
     state it sets in this process is restored afterwards."""
-    for name in ("_WORKER_COLS", "_WORKER_ORBIT", "_WORKER_BOUND"):
+    for name in ("_WORKER_COLS", "_WORKER_ORBIT", "_WORKER_BOUND", "_WORKER_SUPP"):
         monkeypatch.setattr(dct, name, None)
     run_level = dct._run_level
 
@@ -1037,6 +1054,25 @@ def test_pool_starts_at_the_first_size_three_level(monkeypatch, q2_pair, in_proc
     _InProcessPool.levels.clear()
     assert spark_bruteforce(d, 5, workers=2) == want
     assert made == [(2, 1)]
+
+
+def test_a_pool_worker_builds_the_supports_once(monkeypatch, in_process_pool):
+    """thm2 q=2 to size 5 in a pool from size 3 on: the supports are built
+    once, by the one worker initializer, not once per chunk or level."""
+    monkeypatch.setattr(dct, "_POOL_MIN_SUBSETS", 0)
+    supports, built = dct._supports, []
+
+    def counting(cols):
+        built.append(len(cols))
+        return supports(cols)
+
+    monkeypatch.setattr(dct, "_supports", counting)
+    d = build_dictionary("thm2", 2)
+    res = spark_bruteforce(d, 5, workers=2)
+    assert in_process_pool == [(2, 0)] and built == [d.n_cols]
+    built.clear()
+    assert spark_bruteforce(d, 5) == res
+    assert built == [d.n_cols] * 3  # in process, once per level
 
 
 def test_pool_is_sized_to_the_first_columns_of_size_three(monkeypatch, in_process_pool):
