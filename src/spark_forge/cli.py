@@ -15,10 +15,12 @@ key-sorted JSON; two runs with the same inputs differ at most in the
 "timing" object.  CSV and JSON matrix text is written from one row
 template: the template row is copied once per matrix row, each entry's
 byte goes in through one strided write, and one replace expands the byte
-standing in for -1.  The SVG figure and the JSON export go straight into
-the open output file, one matrix row or a chunk of rows at a time, so
-neither text is ever held whole: at thm1 q=16 (72 MB of SVG, 10 MB of JSON)
-the writers peak at about 3.4 MiB and 1.7 MiB under tracemalloc.  Every
+standing in for -1.  The SVG is written in blocks of rows from a gray
+template row, with y written through strided views and only the nonzero
+cells' fills patched.  The SVG figure and the JSON export go straight into
+the open output file, a block or a chunk of rows at a time, so neither
+text is ever held whole: at thm1 q=16 (72 MB of SVG, 10 MB of JSON) the
+writers peak at about 6.4 MiB and 1.7 MiB under tracemalloc.  Every
 artifact is written to a temporary file beside it and renamed onto its
 path only once closed, so a failed write leaves an earlier artifact as it
 was.  A dictionary CSV exactly as written is read from its bytes, without
@@ -460,28 +462,84 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+# A rect is _RECT_HEAD, x, _RECT_MID, y, then the tail, whose 7 bytes before
+# its closing '"/>' are the fill; _RECT_TAIL is the tail of a gray rect.
+_RECT_HEAD, _RECT_MID = b'\n<rect x="', b'" y="'
+_RECT_TAIL = f'" width="{CELL}" height="{CELL}" fill="{CELL_COLORS[0]}"/>'.encode()
+_FILLS = np.array([CELL_COLORS[v].encode() for v in (-1, 0, 1)], "S7")
+_SVG_BYTES = 1 << 22  # render_svg's block buffer: at least one row, at most the figure
+
+
+def _digit_runs(count: int) -> list[tuple[int, int, int]]:
+    """(start, stop, digits) for the runs of i in range(count) over which
+    i * CELL, a rect's x or y, has the same number of digits."""
+    runs, start = [], 0
+    while start < count:
+        digits = len(str(start * CELL))
+        stop = min(count, -(-(10**digits) // CELL))
+        runs.append((start, stop, digits))
+        start = stop
+    return runs
+
+
 def render_svg(matrix: np.ndarray, vector: np.ndarray | None, out: BinaryIO) -> None:
     """Write the cell grid of the matrix, with the vector as a strip below,
-    into the binary file `out`, one strip at a time; red +1, blue -1,
-    gray 0."""
-    strips = list(_entry_index(matrix))
+    into the binary file `out`; red +1, blue -1, gray 0.
+
+    Strips of one length whose y has as many digits go out in blocks of
+    whole rows, through one buffer of about _SVG_BYTES.  A block is its
+    gray template row copied, then the y digits, one strided write per run
+    of rects whose x has as many digits, then the fills of the nonzero
+    cells only."""
+    idx = _entry_index(matrix)
+    rows, cols = matrix.shape
+    # (first strip, entry indices): the matrix rows by y digits, then the
+    # vector's strip after a gap
+    groups = [(r0, idx[r0:r1]) for r0, r1, _ in _digit_runs(rows)]
     if vector is not None:
-        strips += [np.zeros(0, np.uint8), _entry_index(vector)]  # gap, strip
-    size = f'" width="{CELL}" height="{CELL}" fill="'
-    fills = [f'{size}{CELL_COLORS[v]}"/>'.encode() for v in (-1, 0, 1)]
-    width = max(map(len, strips), default=0)
-    xs = [f'\n<rect x="{c * CELL}" y="'.encode() for c in range(width)]
-    # [v, c]: rect c up to its y, after the fill of a rect of entry v; so a
-    # strip is one join of these, and its last fill, with its y between
-    pieces = np.array([xs[:1] + [f + x for x in xs[1:]] for f in fills], object)
+        groups.append((rows + 1, _entry_index(vector)[None]))
+    width = max((entries.shape[1] for _, entries in groups), default=0)
+    xs = [b"%s%d%s" % (_RECT_HEAD, c * CELL, _RECT_MID) for c in range(width)]
+    x_len = np.fromiter(map(len, xs), np.int64, width)
     out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{matrix.shape[1] * CELL}" '
-        f'height="{len(strips) * CELL}" shape-rendering="crispEdges">'.encode()
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * CELL}" '
+        f'height="{(rows + 2 * (vector is not None)) * CELL}" '
+        'shape-rendering="crispEdges">'.encode()
     )
-    for r, idx in enumerate(strips):
-        if len(idx):
-            row = pieces[np.roll(idx, 1), np.arange(len(idx))]
-            out.write(str(r * CELL).encode().join([*row, fills[idx[-1]]]))
+    # one block buffer: _SVG_BYTES, but no less than the longest row (no y
+    # has more digits than the vector's) and no more than the figure, as
+    # numpy asks for huge pages from 4 MiB, and a small figure would then
+    # take 2 MiB of RSS for its few KiB
+    longest = int(x_len.sum()) + width * (len(str((rows + 1) * CELL)) + len(_RECT_TAIL))
+    buf = np.empty(max(longest, min(_SVG_BYTES, (rows + 1) * longest)), np.uint8)
+    for first, entries in groups:
+        strips, length = entries.shape
+        if not length:
+            continue
+        digits = len(str(first * CELL))
+        rest = b"0" * digits + _RECT_TAIL  # a gray rect after its x
+        line = np.frombuffer(rest.join(xs[:length]) + rest, np.uint8)
+        y_at = np.cumsum(x_len[:length] + len(rest)) - len(rest)
+        fill_at = y_at + len(rest) - 10  # 7 fill bytes, then '"/>'
+        per = len(buf) // len(line)
+        for a in range(0, strips, per):
+            block = entries[a : a + per]
+            n = len(block)
+            grid = buf[: n * len(line)].reshape(n, len(line))
+            grid[:] = line
+            ys = ((first + a + np.arange(n)) * CELL).astype(f"S{digits}")[:, None]
+            for c0, c1, _ in _digit_runs(length):
+                rect = x_len[c0] + len(rest)
+                y = np.ndarray(
+                    (n, c1 - c0), ys.dtype, grid, y_at[c0], (len(line), rect)
+                )
+                y[:] = ys
+            at = np.flatnonzero(block != 1)
+            r, c = np.divmod(at, length)
+            # the 7 bytes from each offset, overlapping
+            cells = np.ndarray((grid.size - 6,), "S7", grid, 0, (1,))
+            cells[r * len(line) + fill_at[c]] = _FILLS[block.reshape(-1)[at]]
+            out.write(grid.reshape(-1).data)
     out.write(b"\n</svg>\n")
 
 

@@ -3,9 +3,10 @@ fill one row template per matrix row, and the SVG writer must give the same
 bytes as one formatted string per entry, on the six families and on random
 shapes, and the byte-level dictionary reader must give the same matrix, or
 the same error, as the per-token parse it falls back to.  The JSON and SVG
-writers stream into a binary file; at thm1 q=16 they must give the golden
-bytes of the benchmark and stay within a small memory peak, and the reader
-within a bound on its own."""
+writers stream into a binary file, the SVG in blocks of whole rows under a
+byte cap; at thm1 q=16 they must give the golden bytes of the benchmark,
+and as many, and stay within a small memory peak, and the reader within a
+bound on its own."""
 
 import hashlib
 import io
@@ -189,12 +190,17 @@ Q16_SHA256 = {
 }
 
 
+# their sizes in bytes: a write of a 2-D array adds its row count to len()
+Q16_SIZE = {"svg": 72_052_681, "json": 10_063_826}
+
+
 @pytest.mark.parametrize("kind", ["svg", "json"])
 def test_thm1_q16_streams_the_golden_bytes(kind):
     writer, args = _q16_writes()[kind]
     sink = _Sink()
     writer(*args, sink)
     assert sink.sha256.hexdigest() == Q16_SHA256[kind]
+    assert sink.size == Q16_SIZE[kind]
 
 
 @pytest.mark.parametrize("kind,limit_mb", [("svg", 16), ("json", 8)])
@@ -273,6 +279,60 @@ def test_edge_shapes_match_oracles(shape, vector):
     assert cli.dictionary_csv(d) == dictionary_csv_oracle(d)
     assert _text(cli.dictionary_json, d, x) == dictionary_json_oracle(d, x)
     assert _text(cli.render_svg, matrix, dense) == render_svg_oracle(matrix, dense)
+
+
+def _svg_row_bytes(r, cols):
+    """The bytes of SVG strip r of a matrix with `cols` columns."""
+    return sum(
+        len(f'\n<rect x="{c * cli.CELL}" y="{r * cli.CELL}" width="{cli.CELL}" '
+            f'height="{cli.CELL}" fill="#bbbbbb"/>')
+        for c in range(cols)
+    )
+
+
+class _Writes:
+    """A binary file that keeps each write's bytes."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(self.writes[-1])
+
+
+# x and y gain a digit at cells 1, 9, 84 and 834
+SVG_SHAPES = [(86, 90), (3, 840), (840, 2)]
+
+
+@pytest.mark.parametrize("cap", ["default", "below-one-row", "two-to-three-rows"])
+@pytest.mark.parametrize("vector", ["none", "zero", "mixed"])
+@pytest.mark.parametrize("shape", SVG_SHAPES, ids=[f"{r}x{c}" for r, c in SVG_SHAPES])
+def test_svg_blocks_match_oracle(monkeypatch, shape, vector, cap):
+    """render_svg writes the oracle's bytes across every digit boundary of x
+    and y, with rows all gray and rows with no gray cell, in blocks of whole
+    rows that hold no more than the cap, or one row if it is longer."""
+    rows, cols = shape
+    rng = np.random.default_rng(rows * 1000 + cols)
+    matrix = rng.integers(-1, 2, size=shape).astype(np.int8)
+    matrix[[0, rows // 2]] = 0
+    matrix[-1] = rng.choice(np.array([-1, 1], np.int8), size=cols)
+    if cap == "below-one-row":
+        monkeypatch.setattr(cli, "_SVG_BYTES", _svg_row_bytes(0, cols) - 1)
+    elif cap == "two-to-three-rows":
+        monkeypatch.setattr(cli, "_SVG_BYTES", 5 * _svg_row_bytes(rows - 1, cols) // 2)
+    dense = _edge_vector(vector, cols)
+    sink = _Writes()
+    cli.render_svg(matrix, dense, sink)
+    assert b"".join(sink.writes).decode() == render_svg_oracle(matrix, dense)
+    blocks = sink.writes[1:-1]
+    longest = _svg_row_bytes(rows + 1, cols)
+    assert all(b.startswith(b'\n<rect x="0" ') for b in blocks)
+    assert all(len(b) <= max(cli._SVG_BYTES, longest) for b in blocks)
+    strips = sum(b.count(b'<rect x="0" ') for b in blocks)
+    assert strips == rows + (dense is not None)
+    if cap == "below-one-row":
+        assert len(blocks) == strips
 
 
 @pytest.mark.parametrize("bad", [-2, 2])

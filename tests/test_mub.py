@@ -526,6 +526,29 @@ def test_a_matrix_missing_one_premise_goes_to_the_dense_pass(dictionary):
     assert _gram_outcome(gram_check, dictionary) == dense
 
 
+def test_entries_of_two_with_a_sign_gram_of_k_i_take_the_dense_pass():
+    """The entry range is a premise of its own, not implied by the others.
+    In thm1 q=8 (k = 8), the sign block of line 0 of block 1 (columns
+    64..71) is replaced by columns all ones, 2(e1 - e2), 2(e3 - e4),
+    2(e5 - e6), 2(e7 - e8), and the three +-1 columns constant on those
+    pairs: its Gram is still 8 * I, with 24 fewer nonzeros, which go back
+    as +1 entries of column 69 off the line.  The nonzero count, each
+    line's first column and each line's sign Gram are then as built."""
+    d = build_dictionary("thm1", 8)
+    m = d.matrix.copy()
+    line = np.flatnonzero(m[:, 64])
+    pairs = np.kron(np.eye(4, dtype=np.int8), [[2], [-2]])
+    signs = np.repeat([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], 2, axis=1).T
+    block = np.column_stack([np.ones(8, np.int8), pairs, signs]).astype(np.int8)
+    assert np.array_equal(block.T.astype(int) @ block, 8 * np.eye(8, dtype=int))
+    m[np.ix_(line, np.arange(64, 72))] = block
+    m[np.setdiff1d(np.arange(64), line)[:24], 69] = 1
+    assert np.count_nonzero(m) == np.count_nonzero(d.matrix)
+    check = gram_check(_with_matrix(d, m))
+    assert check.decided_by == "dense"
+    assert not check.orthonormal and not check.report.passed
+
+
 @pytest.mark.parametrize(("family", "q"), [("thm1", 4), ("thm2", 2)])
 def test_valid_lines_in_another_column_order_take_the_dense_pass(family, q):
     """Columns 16 and 20 of block 1 swapped between lines 0 and 1: still a
